@@ -22,9 +22,12 @@ from . import __version__
 from .domains import (
     DomainSpec,
     LineBundleParams,
+    casimir_eigenvalue,
     catalog_record,
     cocycle_residual,
+    hua_eigenvalue,
     kernel_covariance_residual,
+    poisson_kernel_batch,
     random_group_element,
 )
 from .errors import (
@@ -52,7 +55,7 @@ from .radial import (
     x_system_residual,
 )
 from .schur import SignatureM, det_formula_rhs, phi_m_batch
-from .shilov import BoundaryFunction, haar_unitary, mc_integrate_vector, poisson_transform
+from .shilov import BoundaryFunction, haar_unitary, mc_integrate_vector, philox_generator, poisson_transform
 
 DEFAULT_SEED = 20240314
 EXIT_PASS = 0
@@ -75,36 +78,61 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in str(text).split(",") if v != "")
-    except ValueError as exc:
-        raise CliArgumentError(f"expected comma-separated floats, got {text!r}") from exc
+def _list_of(kind):
+    """Reader of a list as given, or of comma-separated text read by ``kind``."""
+
+    def read(value) -> tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(value)
+        return tuple(kind(v) for v in str(value).split(",") if v != "")
+
+    return read
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in str(text).split(",") if v != "")
-    except ValueError as exc:
-        raise CliArgumentError(f"expected comma-separated integers, got {text!r}") from exc
+_floats = _list_of(float)
+_ints = _list_of(int)
 
 
-def _parse_complex(text) -> complex:
-    if isinstance(text, (int, float, complex)):
-        return complex(text)
-    try:
-        return complex(str(text).replace(" ", ""))
-    except ValueError as exc:
-        raise CliArgumentError(f"expected a complex number like 1.3+0.2j, got {text!r}") from exc
+def _complex(value) -> complex:
+    """A number, or a complex literal like 1.3+0.2j."""
+    if isinstance(value, (int, float, complex)):
+        return complex(value)
+    return complex(str(value).replace(" ", ""))
 
 
-def _parse_point(text) -> complex:
+def _point(value) -> complex:
     """A planar point 're,im' (also accepts a bare complex literal)."""
-    s = str(text)
+    s = str(value)
     if "," in s:
         re_s, im_s = s.split(",")
         return complex(float(re_s), float(im_s))
-    return _parse_complex(s)
+    return _complex(s)
+
+
+_REQUIRED = object()
+
+
+def _get(cfg: dict, key: str, kind, default=_REQUIRED):
+    """cfg[key] read by ``kind`` (one reader per value kind); a required key that
+    is missing, or a value ``kind`` cannot read, is a bad argument."""
+    value = cfg.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise CliArgumentError(f"missing required key {key!r}")
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise CliArgumentError(f"cannot read {key!r} from {value!r}: {exc}") from exc
+
+
+def _spherical_params(cfg: dict) -> SphericalParams:
+    return SphericalParams(
+        lam=_get(cfg, "lambda", _complex),
+        nu=_get(cfg, "nu", int, 0),
+        multiplicity=_get(cfg, "m", float, 2.0),
+        rank=_get(cfg, "r", int),
+    )
 
 
 def _jsonable(obj):
@@ -173,14 +201,14 @@ def _report(command: str, config: dict, body: dict, passed: bool | None, t0: flo
 def run_eval_2f1(cfg: dict) -> tuple[dict, int]:
     t0 = time.perf_counter()
     params = HyperParams(
-        a=_parse_complex(cfg["a"]),
-        b=_parse_complex(cfg["b"]),
-        c=_parse_complex(cfg["c"]),
-        multiplicity_m=float(cfg.get("m", 2.0)),
-        k_max=int(cfg.get("kmax", 30)),
-        tol=float(cfg.get("tol", 1e-12)),
+        a=_get(cfg, "a", _complex),
+        b=_get(cfg, "b", _complex),
+        c=_get(cfg, "c", _complex),
+        multiplicity_m=_get(cfg, "m", float, 2.0),
+        k_max=_get(cfg, "kmax", int, 30),
+        tol=_get(cfg, "tol", float, 1e-12),
     )
-    x = tuple(cfg["x"]) if isinstance(cfg["x"], (list, tuple)) else _parse_floats(cfg["x"])
+    x = _get(cfg, "x", _floats)
     res = hyp2f1_multi(params, x, collect_shells=True)
     body = {
         "lhs": {"value": res.value},
@@ -194,18 +222,11 @@ def run_eval_2f1(cfg: dict) -> tuple[dict, int]:
 
 def run_eval_spherical(cfg: dict) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    sp = SphericalParams(
-        lam=_parse_complex(cfg["lambda"]),
-        nu=int(cfg.get("nu", 0)),
-        multiplicity=float(cfg.get("m", 2.0)),
-        rank=int(cfg["r"]),
-    )
-    t = tuple(cfg["t"]) if isinstance(cfg["t"], (list, tuple)) else _parse_floats(cfg["t"])
-    pt = RadialPoint(t)
-    kmax = cfg.get("kmax")
-    kmax = int(kmax) if kmax is not None else None
-    tol = float(cfg.get("tol", 1e-13))
-    use_xform = bool(cfg.get("xform", False))
+    sp = _spherical_params(cfg)
+    pt = RadialPoint(_get(cfg, "t", _floats))
+    kmax = _get(cfg, "kmax", int, None)
+    tol = _get(cfg, "tol", float, 1e-13)
+    use_xform = _get(cfg, "xform", bool, False)
     val = (spherical_F_xform if use_xform else spherical_F)(sp, pt, k_max=kmax, tol=tol)
     body = {"lhs": {"value": val}, "representation": "xform" if use_xform else "direct"}
     return _report("eval-spherical", cfg, body, None, t0), EXIT_PASS
@@ -216,27 +237,26 @@ def _domain_from_cfg(cfg: dict) -> DomainSpec:
     if kind == "disk":
         return DomainSpec.disk()
     if kind == "typeI":
-        return DomainSpec.type_i(int(cfg.get("n", 2)))
+        return DomainSpec.type_i(_get(cfg, "n", int, 2))
     raise InvalidArgumentError(f"kernel checks support domains disk|typeI, got {kind!r}")
 
 
 def run_check_hua_integral(cfg: dict) -> tuple[dict, int]:
     t0 = time.perf_counter()
     spec = _domain_from_cfg(cfg)
-    lam = _parse_complex(cfg["lambda"])
-    nu = int(cfg.get("nu", 0))
-    t = tuple(cfg["t"]) if isinstance(cfg["t"], (list, tuple)) else _parse_floats(cfg["t"])
+    lam = _get(cfg, "lambda", _complex)
+    nu = _get(cfg, "nu", int, 0)
+    t = _get(cfg, "t", _floats)
     if len(t) != spec.rank:
         raise InvalidArgumentError(f"need {spec.rank} torus coordinates, got {len(t)}")
-    seed = int(cfg.get("seed", DEFAULT_SEED))
-    samples = int(cfg.get("samples", 200_000))
-    workers = int(cfg.get("workers", 1))
-    gate = float(cfg.get("gate", 1e-8))
-    kmax = cfg.get("kmax")
-    kmax = int(kmax) if kmax is not None else None
+    seed = _get(cfg, "seed", int, DEFAULT_SEED)
+    samples = _get(cfg, "samples", int, 200_000)
+    workers = _get(cfg, "workers", int, 1)
+    gate = _get(cfg, "gate", float, 1e-8)
+    kmax = _get(cfg, "kmax", int, None)
     params = LineBundleParams(lam=lam, nu=nu)
     sp = SphericalParams(lam=lam, nu=nu, multiplicity=spec.multiplicity, rank=spec.rank)
-    rhs = hua_integral_rhs(sp, RadialPoint(t), k_max=kmax, tol=float(cfg.get("tol", 1e-13)))
+    rhs = hua_integral_rhs(sp, RadialPoint(t), k_max=kmax, tol=_get(cfg, "tol", float, 1e-13))
     z = np.diag([math.tanh(v) for v in t]).astype(complex)
     one = BoundaryFunction(fn=lambda u: 1.0, tag="1", batch=lambda us: np.ones(us.shape[0]))
     est = poisson_transform(spec, params, one, z, samples, seed, workers=workers)
@@ -256,19 +276,24 @@ def run_check_hua_integral(cfg: dict) -> tuple[dict, int]:
 
 
 def schur_det_integrands(n: int, lam: complex, t: float, sig: SignatureM):
-    """Batched integrands of both exponent readings (|h| and |h|^2) at z = tanh(t) I."""
-    eta = float(n)
+    """Batched integrands of both exponent readings at z = tanh(t) I, each times phi_m.
+
+    The |h|^2 reading is the nu = 0 Poisson kernel; the |h| reading,
+    [h(z,z)/|h(z,u)|]^((lam+eta)/2), is no kernel and is formed beside it from
+    the same h(z, u), which is evaluated once per block.
+    """
+    spec = DomainSpec.type_i(n)
+    kernel = LineBundleParams(lam=lam, nu=0)
     th = math.tanh(t)
-    h_zz = (1.0 - th * th) ** n
-    s = (lam + eta) / 2.0
+    z = th * np.eye(n)
+    log_h_zz = math.log((1.0 - th * th) ** n)
+    s = (lam + spec.eta) / 2.0
 
     def batch(us: np.ndarray) -> np.ndarray:
-        eye = np.eye(n)
-        h_zu = np.linalg.det(eye - th * us.conj().transpose(0, 2, 1))
-        absh = np.abs(h_zu)
+        h_zu = np.linalg.det(np.eye(n) - th * us.conj().transpose(0, 2, 1))
         phi = phi_m_batch(sig, us)
-        squared = np.exp(s * (math.log(h_zz) - 2.0 * np.log(absh))) * phi
-        single = np.exp(s * (math.log(h_zz) - np.log(absh))) * phi
+        squared = poisson_kernel_batch(spec, kernel, z, us, h_zu=h_zu) * phi
+        single = np.exp(s * (log_h_zz - np.log(np.abs(h_zu)))) * phi
         return np.stack([squared, single], axis=1)
 
     return batch
@@ -276,15 +301,15 @@ def schur_det_integrands(n: int, lam: complex, t: float, sig: SignatureM):
 
 def run_check_schur_det(cfg: dict) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    n = int(cfg.get("n", 2))
-    sig = SignatureM(cfg["sig"] if isinstance(cfg["sig"], (list, tuple)) else _parse_ints(cfg["sig"]))
+    n = _get(cfg, "n", int, 2)
+    sig = SignatureM(_get(cfg, "sig", _ints))
     if sig.n != n:
         raise InvalidArgumentError(f"signature length {sig.n} must equal n={n}")
-    lam = _parse_complex(cfg["lambda"])
-    t = float(cfg["t"])
-    seed = int(cfg.get("seed", DEFAULT_SEED))
-    samples = int(cfg.get("samples", 200_000))
-    workers = int(cfg.get("workers", 1))
+    lam = _get(cfg, "lambda", _complex)
+    t = _get(cfg, "t", float)
+    seed = _get(cfg, "seed", int, DEFAULT_SEED)
+    samples = _get(cfg, "samples", int, 200_000)
+    workers = _get(cfg, "workers", int, 1)
     rhs = det_formula_rhs(lam, sig, t)
     ests = mc_integrate_vector(schur_det_integrands(n, lam, t, sig), n, samples, seed, workers=workers)
     z_sq = ests[0].z_score(rhs)
@@ -308,15 +333,10 @@ def run_check_schur_det(cfg: dict) -> tuple[dict, int]:
 
 def run_check_pde(cfg: dict) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    sp = SphericalParams(
-        lam=_parse_complex(cfg["lambda"]),
-        nu=int(cfg.get("nu", 0)),
-        multiplicity=float(cfg.get("m", 2.0)),
-        rank=int(cfg["r"]),
-    )
-    t = tuple(cfg["t"]) if isinstance(cfg["t"], (list, tuple)) else _parse_floats(cfg["t"])
-    h = float(cfg.get("fd_step", 1e-3))
-    gate = float(cfg.get("gate", 1e-5))
+    sp = _spherical_params(cfg)
+    t = _get(cfg, "t", _floats)
+    h = _get(cfg, "fd_step", float, 1e-3)
+    gate = _get(cfg, "gate", float, 1e-5)
     pt = RadialPoint(t)
     rep = radial_residual_report(sp, pt, h)
     body: dict = {
@@ -326,7 +346,7 @@ def run_check_pde(cfg: dict) -> tuple[dict, int]:
         "phi": rep.phi_value,
     }
     passed = rep.relative <= gate
-    if cfg.get("richardson", False):
+    if _get(cfg, "richardson", bool, False):
         rep_half = radial_residual_report(sp, pt, h / 2.0)
         denom = float(np.max(np.abs(rep_half.residuals)))
         ratio = float(np.max(np.abs(rep.residuals))) / denom if denom > 0 else float("inf")
@@ -337,14 +357,9 @@ def run_check_pde(cfg: dict) -> tuple[dict, int]:
 
 def run_check_x_system(cfg: dict) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    sp = SphericalParams(
-        lam=_parse_complex(cfg["lambda"]),
-        nu=int(cfg.get("nu", 0)),
-        multiplicity=float(cfg.get("m", 2.0)),
-        rank=int(cfg["r"]),
-    )
-    x = tuple(cfg["x"]) if isinstance(cfg["x"], (list, tuple)) else _parse_floats(cfg["x"])
-    h = float(cfg.get("fd_step", 1e-3))
+    sp = _spherical_params(cfg)
+    x = _get(cfg, "x", _floats)
+    h = _get(cfg, "fd_step", float, 1e-3)
     res = x_system_residual(sp, x, h)
     body = {
         "lhs": {"max_residual": float(np.max(np.abs(res)))},
@@ -357,11 +372,11 @@ def run_check_x_system(cfg: dict) -> tuple[dict, int]:
 
 def run_check_casimir_disk(cfg: dict) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    lam = _parse_complex(cfg["lambda"])
-    z = _parse_point(cfg.get("z", "0,0"))
-    h = float(cfg.get("fd_step", 1e-3))
-    nodes = int(cfg.get("nodes", 512))
-    gate = float(cfg.get("gate", 1e-5))
+    lam = _get(cfg, "lambda", _complex)
+    z = _get(cfg, "z", _point, 0j)
+    h = _get(cfg, "fd_step", float, 1e-3)
+    nodes = _get(cfg, "nodes", int, 512)
+    gate = _get(cfg, "gate", float, 1e-5)
     res = disk_casimir_residual(lam, z, h, nodes=nodes)
     p0 = disk_poisson_value(lam, z, nodes)
     eig = (lam**2 - 1.0) / 4.0
@@ -378,16 +393,16 @@ def run_check_casimir_disk(cfg: dict) -> tuple[dict, int]:
 
 def run_check_covariance(cfg: dict) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    n = int(cfg.get("n", 2))
-    lam = _parse_complex(cfg["lambda"])
-    nu = int(cfg.get("nu", 0))
-    trials = int(cfg.get("trials", 100))
-    seed = int(cfg.get("seed", DEFAULT_SEED))
-    kernel_gate = float(cfg.get("kernel_gate", 1e-8))
-    cocycle_gate = float(cfg.get("cocycle_gate", 1e-10))
+    n = _get(cfg, "n", int, 2)
+    lam = _get(cfg, "lambda", _complex)
+    nu = _get(cfg, "nu", int, 0)
+    trials = _get(cfg, "trials", int, 100)
+    seed = _get(cfg, "seed", int, DEFAULT_SEED)
+    kernel_gate = _get(cfg, "kernel_gate", float, 1e-8)
+    cocycle_gate = _get(cfg, "cocycle_gate", float, 1e-10)
     spec = DomainSpec.type_i(n)
     params = LineBundleParams(lam=lam, nu=nu)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC0C1], dtype=np.uint64)))
+    rng = philox_generator(seed, 0xC0C1)
     worst_kernel = 0.0
     worst_cocycle = 0.0
     for _ in range(trials):
@@ -410,35 +425,40 @@ def run_check_covariance(cfg: dict) -> tuple[dict, int]:
 def run_table(cfg: dict) -> tuple[dict, int]:
     t0 = time.perf_counter()
     kinds = [cfg["domain"]] if cfg.get("domain") else ["disk", "typeI", "typeII", "typeIII", "typeIV", "e7"]
-    n = int(cfg.get("n", 2))
+    n = _get(cfg, "n", int, 2)
     rows = []
     for kind in kinds:
         rec = catalog_record(kind, n)
         if cfg.get("lambda") is not None:
-            lam = _parse_complex(cfg["lambda"])
-            nu = int(cfg.get("nu", 0))
-            eta, p, r = rec["eta"], rec["genus"], rec["rank"]
-            rec["hua_eigenvalue"] = (lam**2 - (eta - nu) ** 2) / (4.0 * p)
-            rec["casimir_eigenvalue"] = (lam**2 - (eta - nu) ** 2) / (4.0 * r)
+            spec = DomainSpec.of(kind, n)
+            params = LineBundleParams(lam=_get(cfg, "lambda", _complex), nu=_get(cfg, "nu", int, 0))
+            rec["hua_eigenvalue"] = hua_eigenvalue(spec, params)
+            rec["casimir_eigenvalue"] = casimir_eigenvalue(spec, params)
         rows.append(rec)
     return _report("table", cfg, {"rows": rows}, None, t0), EXIT_PASS
 
 
 def run_suite(cfg: dict) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    path = cfg["config"]
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    path = _get(cfg, "config", str)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CliArgumentError(f"suite: cannot read config {path!r}: {exc}") from exc
     experiments = doc.get("experiments", [])
     reports = []
     worst = EXIT_PASS
-    for exp in experiments:
+    for i, exp in enumerate(experiments):
         command = exp.get("command")
         runner = _RUNNERS.get(command)
         if runner is None or command == "suite":
             raise InvalidArgumentError(f"suite: unknown command {command!r}")
         sub_cfg = {k: v for k, v in exp.items() if k != "command"}
-        report, code = runner(sub_cfg)
+        try:
+            report, code = runner(sub_cfg)
+        except CliArgumentError as exc:
+            raise CliArgumentError(f"suite experiment {i} ({command}): {exc}") from exc
         reports.append(report)
         worst = max(worst, code)
     passed = worst == EXIT_PASS

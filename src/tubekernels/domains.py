@@ -81,20 +81,21 @@ class DomainSpec:
     @classmethod
     def disk(cls) -> "DomainSpec":
         """Unit disk (rank 1; the multiplicity plays no role at r = 1)."""
-        return cls(kind="disk", rank=1, multiplicity=2.0, eta=1.0, genus=2.0, matrix_size=1)
+        return cls.of("disk", 1)
 
     @classmethod
     def type_i(cls, n: int) -> "DomainSpec":
         if n < 1:
             raise InvalidArgumentError(f"type I requires n >= 1, got {n}")
-        return cls(
-            kind="typeI",
-            rank=n,
-            multiplicity=2.0,
-            eta=float(n),
-            genus=2.0 * n,
-            matrix_size=n,
-        )
+        return cls.of("typeI", n)
+
+    @classmethod
+    def of(cls, kind: str, n: int) -> "DomainSpec":
+        """The catalog record of ``kind`` as a spec; matrix_size is the rank, which is
+        the matrix side of the two families with kernel evaluators."""
+        rec = catalog_record(kind, n)
+        return cls(kind=kind, rank=rec["rank"], multiplicity=rec["multiplicity"], eta=rec["eta"],
+                   genus=rec["genus"], matrix_size=rec["rank"])
 
 
 def catalog_record(kind: str, n: int) -> dict:
@@ -204,34 +205,33 @@ def _int_power(w: complex, k: int) -> complex:
 
 
 def poisson_kernel(spec: DomainSpec, params: LineBundleParams, pt: KernelPoint) -> complex:
-    """Line-bundle Poisson kernel P_{lam,nu}(z, u).
+    """Line-bundle Poisson kernel P_{lam,nu}(z, u): the one-point view of :func:`poisson_kernel_batch`."""
+    return complex(poisson_kernel_batch(spec, params, pt.z, pt.u[None])[0])
+
+
+def poisson_kernel_batch(
+    spec: DomainSpec, params: LineBundleParams, z, u_batch: np.ndarray, *, h_zu: np.ndarray | None = None
+) -> np.ndarray:
+    """Kernel values P_{lam,nu}(z, u) against a stack of Shilov points (B, n, n).
 
     [h(z,z)/|h(z,u)|^2]^((lam+eta-nu)/2) * h(z,u)^(-nu); the first factor uses
     the principal branch on its positive real base, the second is an exact
-    integer power.
+    integer power.  ``h_zu`` passes h(z, u) already evaluated on ``u_batch``,
+    for callers that read it for more than the kernel.  A z off the open
+    domain, or a u with h(z, u) = 0, raises :class:`SingularKernelError`.
     """
-    h_zz = jordan_h(spec, pt.z, pt.z)
-    h_zu = jordan_h(spec, pt.z, pt.u)
-    if abs(h_zu) < 1e-300:
-        raise SingularKernelError("h(z, u) = 0: kernel is singular at this boundary point")
-    base = h_zz.real / abs(h_zu) ** 2
-    if base <= 0.0:
-        raise SingularKernelError(f"nonpositive kernel base {base}; z is not interior")
-    s = (params.lam + spec.eta - params.nu) / 2.0
-    return complex(np.exp(s * np.log(base))) * _int_power(h_zu, -params.nu)
-
-
-def poisson_kernel_batch(spec: DomainSpec, params: LineBundleParams, z, u_batch: np.ndarray) -> np.ndarray:
-    """Vectorized kernel values against a stack of Shilov points (B, n, n)."""
     n = spec.matrix_size
     zm = _as_matrix(spec, z)
     us = np.asarray(u_batch, dtype=complex)
     if us.ndim != 3 or us.shape[1:] != (n, n):
         raise InvalidArgumentError(f"u_batch must have shape (B, {n}, {n}), got {us.shape}")
     h_zz = jordan_h(spec, zm, zm).real
-    h_zu = np.linalg.det(np.eye(n) - np.einsum("ij,bkj->bik", zm, us.conj()))
+    if not h_zz > 0.0 or _spectral_norm(zm) >= 1.0:
+        raise SingularKernelError(f"h(z, z) = {h_zz}, |z| = {_spectral_norm(zm)}; z is not interior")
+    if h_zu is None:
+        h_zu = np.linalg.det(np.eye(n) - np.einsum("ij,bkj->bik", zm, us.conj()))
     if np.any(np.abs(h_zu) < 1e-300):
-        raise SingularKernelError("h(z, u) = 0 for some sample")
+        raise SingularKernelError("h(z, u) = 0: kernel is singular at this boundary point")
     base = h_zz / np.abs(h_zu) ** 2
     s = (params.lam + spec.eta - params.nu) / 2.0
     out = np.exp(s * np.log(base))

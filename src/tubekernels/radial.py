@@ -22,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import DomainSpec, LineBundleParams, _eta_of
 from .errors import DomainError, GeometryError, InvalidArgumentError
 from .hypergeom import HyperParams, hyp2f1_multi
-from .shilov import circle_quadrature
+from .shilov import BoundaryFunction, poisson_transform
+from .shilov import circle_quadrature  # noqa: F401  (perfbench/tracing.py wraps radial.circle_quadrature)
 
 __all__ = [
     "SphericalParams",
@@ -63,7 +65,7 @@ class SphericalParams:
 
     @property
     def eta(self) -> float:
-        return 0.5 * self.multiplicity * (self.rank - 1) + 1.0
+        return _eta_of(self.multiplicity, self.rank)
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,21 @@ def _auto_kmax(max_abs_x: float, requested: int | None) -> int:
     return min(max(est, 40), 180)
 
 
+def _spherical_series(
+    sp: SphericalParams, b: complex, x: tuple[float, ...], k_max: int | None, tol: float, early_stop: bool
+) -> complex:
+    """2F1^(m)((lam+eta-nu)/2, b; eta; x), the series both representations share."""
+    params = HyperParams(
+        a=(sp.lam + sp.eta - sp.nu) / 2.0,
+        b=b,
+        c=sp.eta,
+        multiplicity_m=sp.multiplicity,
+        k_max=_auto_kmax(max(abs(v) for v in x), k_max),
+        tol=tol,
+    )
+    return hyp2f1_multi(params, x, early_stop=early_stop).value
+
+
 def spherical_F(
     sp: SphericalParams,
     pt: RadialPoint,
@@ -112,17 +129,9 @@ def spherical_F(
     if len(pt.t) != sp.rank:
         raise InvalidArgumentError(f"point has rank {len(pt.t)}, params have rank {sp.rank}")
     x = tuple(math.tanh(v) ** 2 for v in pt.t)
-    params = HyperParams(
-        a=(sp.lam + sp.eta - sp.nu) / 2.0,
-        b=(sp.lam + sp.eta + sp.nu) / 2.0,
-        c=sp.eta,
-        multiplicity_m=sp.multiplicity,
-        k_max=_auto_kmax(max(x), k_max),
-        tol=tol,
-    )
-    series = hyp2f1_multi(params, x, early_stop=early_stop)
+    series = _spherical_series(sp, (sp.lam + sp.eta + sp.nu) / 2.0, x, k_max, tol, early_stop)
     pref = cmath.exp(((sp.lam + sp.eta) / 2.0) * sum(math.log1p(-xi) for xi in x))
-    return pref * series.value
+    return pref * series
 
 
 def spherical_F_xform(
@@ -146,19 +155,11 @@ def spherical_F_xform(
     x = tuple(-math.sinh(v) ** 2 for v in pt.t)
     if max(abs(v) for v in x) >= 1.0:
         raise DomainError(f"-sinh^2 t leaves the unit polydisk at {pt.t}; use spherical_F")
-    params = HyperParams(
-        a=(sp.lam + sp.eta - sp.nu) / 2.0,
-        b=(-sp.lam + sp.eta - sp.nu) / 2.0,
-        c=sp.eta,
-        multiplicity_m=sp.multiplicity,
-        k_max=_auto_kmax(max(abs(v) for v in x), k_max),
-        tol=tol,
-    )
-    series = hyp2f1_multi(params, x, early_stop=early_stop)
+    series = _spherical_series(sp, (-sp.lam + sp.eta - sp.nu) / 2.0, x, k_max, tol, early_stop)
     pref = 1.0
     for v in pt.t:
         pref *= math.cosh(v) ** (-sp.nu)
-    return pref * series.value
+    return pref * series
 
 
 def hua_integral_rhs(
@@ -182,6 +183,23 @@ def _phi(sp: SphericalParams, t: tuple[float, ...], k_max: int) -> complex:
     return pref * spherical_F(sp, RadialPoint(t), k_max=k_max, early_stop=False)
 
 
+def _central_differences(fn, point: tuple[float, ...], h: float):
+    """fn at point, and its central first and second differences along each coordinate."""
+    f0 = fn(point)
+    d1 = np.empty(len(point), dtype=complex)
+    d2 = np.empty(len(point), dtype=complex)
+    for k in range(len(point)):
+        plus = list(point)
+        minus = list(point)
+        plus[k] += h
+        minus[k] -= h
+        fp = fn(tuple(plus))
+        fm = fn(tuple(minus))
+        d1[k] = (fp - fm) / (2.0 * h)
+        d2[k] = (fp - 2.0 * f0 + fm) / h**2
+    return f0, d1, d2
+
+
 def hua_radial_residual(
     sp: SphericalParams, pt: RadialPoint, h: float = 1e-3, *, k_max: int | None = None
 ) -> np.ndarray:
@@ -197,6 +215,11 @@ def hua_radial_residual(
     The stencil must stay off the singular set: |t_k| >= 10h and
     |sinh^2 t_j - sinh^2 t_k| >= 10h for j != k.
     """
+    return _radial_residual(sp, pt, h, k_max)[0]
+
+
+def _radial_residual(sp: SphericalParams, pt: RadialPoint, h: float, k_max: int | None):
+    """The residual vector of :func:`hua_radial_residual` and phi at the point."""
     t = pt.t
     r = sp.rank
     if len(t) != r:
@@ -211,18 +234,7 @@ def hua_radial_residual(
     if k_max is None:
         worst = math.tanh(max(abs(v) for v in t) + h) ** 2
         k_max = _auto_kmax(worst, None)
-    f0 = _phi(sp, t, k_max)
-    d1 = np.empty(r, dtype=complex)
-    d2 = np.empty(r, dtype=complex)
-    for k in range(r):
-        tp = list(t)
-        tm = list(t)
-        tp[k] += h
-        tm[k] -= h
-        fp = _phi(sp, tuple(tp), k_max)
-        fm = _phi(sp, tuple(tm), k_max)
-        d1[k] = (fp - fm) / (2.0 * h)
-        d2[k] = (fp - 2.0 * f0 + fm) / h**2
+    f0, d1, d2 = _central_differences(lambda tt: _phi(sp, tt, k_max), t, h)
     const = radial_eigenvalue(sp)
     res = np.empty(r, dtype=complex)
     for k in range(r):
@@ -237,7 +249,7 @@ def hua_radial_residual(
                 / (sh2[j] - sh2[k])
             )
         res[k] = lhs - const * f0
-    return res
+    return res, f0
 
 
 @dataclass(frozen=True)
@@ -254,11 +266,7 @@ def radial_residual_report(
 
     relative = max_k |res_k| / (max(1, |const|) * |phi|).
     """
-    res = hua_radial_residual(sp, pt, h, k_max=k_max)
-    if k_max is None:
-        worst = math.tanh(max(abs(v) for v in pt.t) + h) ** 2
-        k_max = _auto_kmax(worst, None)
-    f0 = _phi(sp, pt.t, k_max)
+    res, f0 = _radial_residual(sp, pt, h, k_max)
     const = radial_eigenvalue(sp)
     rel = float(np.max(np.abs(res)) / (max(1.0, abs(const)) * abs(f0)))
     return RadialReport(residuals=res, phi_value=f0, relative=rel)
@@ -292,29 +300,8 @@ def x_system_residual(
     if k_max is None:
         k_max = _auto_kmax(max(abs(v) for v in xs) + h, None)
 
-    def psi(xx: tuple[float, ...]) -> complex:
-        params = HyperParams(
-            a=(sp.lam + sp.eta - sp.nu) / 2.0,
-            b=(-sp.lam + sp.eta - sp.nu) / 2.0,
-            c=sp.eta,
-            multiplicity_m=sp.multiplicity,
-            k_max=k_max,
-            tol=1e-13,
-        )
-        return hyp2f1_multi(params, xx, early_stop=False).value
-
-    f0 = psi(xs)
-    d1 = np.empty(r, dtype=complex)
-    d2 = np.empty(r, dtype=complex)
-    for k in range(r):
-        xp = list(xs)
-        xm = list(xs)
-        xp[k] += h
-        xm[k] -= h
-        fp = psi(tuple(xp))
-        fm = psi(tuple(xm))
-        d1[k] = (fp - fm) / (2.0 * h)
-        d2[k] = (fp - 2.0 * f0 + fm) / h**2
+    b = (-sp.lam + sp.eta - sp.nu) / 2.0
+    f0, d1, d2 = _central_differences(lambda xx: _spherical_series(sp, b, xx, k_max, 1e-13, False), xs, h)
     const = ((sp.eta - sp.nu) ** 2 - sp.lam**2) / 4.0
     res = np.empty(r, dtype=complex)
     for k in range(r):
@@ -329,18 +316,15 @@ def x_system_residual(
     return res
 
 
+_ONE = BoundaryFunction(fn=lambda u: 1.0, tag="1", batch=lambda us: np.ones(us.shape[0]))
+
+
 def disk_poisson_value(lam: complex, z: complex, nodes: int = 512) -> complex:
     """Scalar Poisson integral on the disk with f = 1, nu = 0, by quadrature."""
     zc = complex(z)
     if abs(zc) >= 1.0:
         raise InvalidArgumentError(f"|z| must be < 1, got {abs(zc)}")
-    base_num = 1.0 - abs(zc) ** 2
-    s = (lam + 1.0) / 2.0
-
-    def integrand(u: complex) -> complex:
-        return cmath.exp(s * cmath.log(base_num / abs(1.0 - zc * u.conjugate()) ** 2))
-
-    return circle_quadrature(integrand, nodes)
+    return poisson_transform(DomainSpec.disk(), LineBundleParams(lam=lam, nu=0), _ONE, zc, 0, 0, nodes=nodes).mean
 
 
 def disk_casimir_residual(lam: complex, z: complex, h: float = 1e-3, *, nodes: int = 512) -> complex:

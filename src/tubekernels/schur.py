@@ -62,35 +62,12 @@ def weyl_dim(sig: SignatureM) -> int:
     return int(out)
 
 
-def _alternant(eigs: np.ndarray, shifted: tuple[int, ...]) -> complex:
-    """Bialternant ratio det(x_i^(m_j + n - j)) / det(x_i^(n - j))."""
-    n = len(shifted)
-    exps = np.array([shifted[j] + n - 1 - j for j in range(n)])
-    num = np.linalg.det(eigs[:, None] ** exps[None, :])
-    den = 1.0 + 0.0j
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= eigs[i] - eigs[j]
-    return complex(num / den)
-
-
-def _min_eig_gap(eigs: np.ndarray) -> float:
-    n = len(eigs)
-    if n < 2:
-        return np.inf
-    gap = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = min(gap, abs(eigs[i] - eigs[j]))
-    return gap
-
-
 def _char_jacobi_trudi(eigs: np.ndarray, shifted: tuple[int, ...]) -> complex:
     """Division-free character via det(h_{m_i - i + j}) with Newton's identities.
 
     Collision-proof: no Vandermonde quotient, so it stays exact (to rounding)
-    when eigenvalues coincide.  Used only on the collision branch; the
-    bialternant is cheaper for well-separated spectra.
+    when eigenvalues coincide.  Used only on the collision branch of
+    :func:`phi_m_batch`; the bialternant is cheaper for well-separated spectra.
     """
     n = len(shifted)
     top = shifted[0] + n - 1
@@ -110,39 +87,30 @@ def _char_jacobi_trudi(eigs: np.ndarray, shifted: tuple[int, ...]) -> complex:
 
 
 def schur_char(sig: SignatureM, u) -> complex:
-    """Character value s_m(eigenvalues of u) for a unitary u.
+    """Character value s_m(eigenvalues of u) for a unitary u: weyl_dim times :func:`phi_m`."""
+    return phi_m(sig, u) * weyl_dim(sig)
 
-    Generic spectra go through the bialternant ratio; eigenvalues colliding
-    within 1e-9 switch to the division-free Jacobi-Trudi determinant, which
-    has no cancellation at coincident points.
-    """
+
+def phi_m(sig: SignatureM, u) -> complex:
+    """Normalized character schur_char / weyl_dim (zonal-type, phi_m(I) = 1) of one
+    unitary: the one-matrix view of :func:`phi_m_batch`."""
     um = np.asarray(u, dtype=complex)
     n = sig.n
     if um.shape != (n, n):
         raise InvalidArgumentError(f"u must be {n}x{n} for this signature, got {um.shape}")
     if np.max(np.abs(um @ um.conj().T - np.eye(n))) > _UNITARY_TOL:
         raise InvalidArgumentError("u is not unitary")
-    shift = sig.parts[-1]
-    shifted = tuple(p - shift for p in sig.parts)
-    eigs = np.linalg.eigvals(um)
-    det_term = complex(np.prod(eigs)) ** shift if shift else 1.0
-    if n == 1:
-        return det_term * complex(eigs[0] ** shifted[0])
-    if _min_eig_gap(eigs) < _COLLISION_TOL:
-        return det_term * _char_jacobi_trudi(eigs, shifted)
-    return det_term * _alternant(eigs, shifted)
-
-
-def phi_m(sig: SignatureM, u) -> complex:
-    """Normalized character schur_char / weyl_dim (zonal-type, phi_m(I) = 1)."""
-    return schur_char(sig, u) / weyl_dim(sig)
+    return complex(phi_m_batch(sig, um[None])[0])
 
 
 def phi_m_batch(sig: SignatureM, us: np.ndarray) -> np.ndarray:
-    """Vectorized phi_m over a (B, n, n) stack of unitaries.
+    """Normalized characters over a (B, n, n) stack of unitaries.
 
-    Colliding samples (a Haar-measure-zero event) fall back to the scalar
-    perturbation path.
+    Generic spectra go through the bialternant ratio
+    det(x_i^(m_j + n - j)) / det(x_i^(n - j)); samples whose eigenvalues
+    collide within 1e-9 (a Haar-measure-zero event) switch to the
+    division-free Jacobi-Trudi determinant, which has no cancellation at
+    coincident points.
     """
     us = np.asarray(us, dtype=complex)
     n = sig.n
@@ -166,12 +134,11 @@ def phi_m_batch(sig: SignatureM, us: np.ndarray) -> np.ndarray:
     colliding = gap < _COLLISION_TOL
     den = np.where(colliding, 1.0, den)
     out = num / den
+    for idx in np.nonzero(colliding)[0]:
+        out[idx] = _char_jacobi_trudi(eigs[idx], shifted)
     if shift:
         out = out * np.linalg.det(us) ** shift
-    out = out / dim
-    for idx in np.nonzero(colliding)[0]:
-        out[idx] = phi_m(sig, us[idx])
-    return out
+    return out / dim
 
 
 def _poch(a: complex, k: int) -> complex:

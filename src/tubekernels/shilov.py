@@ -2,9 +2,11 @@
 
 Reproducibility contract: sample i is generated from a counter-based stream
 keyed by (seed, i // BLOCK) with a fixed internal block length, and block
-results are merged in block order.  The estimate is therefore a pure function
-of (seed, samples) - bitwise identical no matter how many workers run the
-blocks.
+results are merged in block order.  Each component of an estimate is
+therefore a pure function of (seed, samples, K), K being the number of
+components the integrand returns side by side - bitwise identical no matter
+how many workers run the blocks.  The same component at a different K may
+differ in the last bits, because the block mean reduces all K columns at once.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "McEstimate",
     "BoundaryFunction",
     "haar_unitary",
+    "philox_generator",
     "mc_integrate",
     "mc_integrate_vector",
     "circle_quadrature",
@@ -68,28 +71,33 @@ class BoundaryFunction:
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed n x n unitary.
+def philox_generator(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed mod 2^64, stream); any integer seed is valid."""
+    return np.random.Generator(np.random.Philox(key=np.array([int(seed) & _MASK64, stream], dtype=np.uint64)))
 
-    Complex Ginibre matrix, QR factorization, then each column rescaled by
+
+def _haar_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """(count, n, n) Haar unitaries (Mezzadri 2007).
+
+    Complex Ginibre matrices, QR factorization, then each column rescaled by
     the unit phase of the matching diagonal entry of R.
     """
+    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed n x n unitary drawn from ``rng``."""
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_stack(rng, n, 1)[0]
 
 
 def _haar_block(n: int, seed: int, block_index: int, count: int) -> np.ndarray:
     """Haar samples for one block, from its private counter-based stream."""
-    key = np.array([seed & _MASK64, block_index], dtype=np.uint64)
-    rg = np.random.Generator(np.random.Philox(key=key))
-    z = (rg.standard_normal((count, n, n)) + 1j * rg.standard_normal((count, n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+    return _haar_stack(philox_generator(seed, block_index), n, count)
 
 
 def _merge(stats_a, stats_b):
@@ -103,21 +111,26 @@ def _merge(stats_a, stats_b):
     return n, mean, m2
 
 
+def _check_finite(vals: np.ndarray, start_index: int) -> None:
+    """Raise NonFiniteSampleError naming the first row with a non-finite part."""
+    bad = ~(np.isfinite(vals.real) & np.isfinite(vals.imag))
+    if np.any(bad):
+        rows = bad.reshape(bad.shape[0], -1).any(axis=1)
+        raise NonFiniteSampleError(start_index + int(np.argmax(rows)))
+
+
 def _block_stats(values: np.ndarray, start_index: int):
     vals = np.asarray(values, dtype=complex)
     if vals.ndim == 1:
         vals = vals[:, None]
-    bad = ~(np.isfinite(vals.real) & np.isfinite(vals.imag))
-    if np.any(bad):
-        offender = start_index + int(np.argwhere(bad.any(axis=1))[0][0])
-        raise NonFiniteSampleError(offender)
+    _check_finite(vals, start_index)
     mean = vals.mean(axis=0)
     m2 = np.sum(np.abs(vals - mean) ** 2, axis=0)
     return vals.shape[0], mean, m2
 
 
 def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
-    """Evaluate `batch_values(us, start)` over Haar blocks and merge in order."""
+    """Evaluate `batch_values(us)` over Haar blocks and merge in order."""
     if samples < 2:
         raise InvalidArgumentError(f"samples must be >= 2, got {samples}")
     seed = int(seed) & _MASK64
@@ -142,56 +155,51 @@ def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
     return mean, stderr, count
 
 
-def mc_integrate(
-    f: BoundaryFunction, n: int, samples: int, seed: int, *, workers: int = 1
-) -> McEstimate:
-    """Monte Carlo integral of f over U(n) with normalized Haar measure."""
-
-    def batch_values(us: np.ndarray) -> np.ndarray:
-        if f.batch is not None:
-            return np.asarray(f.batch(us), dtype=complex)
-        return np.array([f.fn(u) for u in us], dtype=complex)
-
-    mean, stderr, count = _run_blocks(batch_values, n, samples, seed, workers)
-    return McEstimate(mean=complex(mean[0]), stderr=float(stderr[0]), samples=count, seed=int(seed))
+def _values(f: BoundaryFunction, us: np.ndarray) -> np.ndarray:
+    """f on a (B, n, n) stack: its batched form when it has one, else point by point."""
+    if f.batch is not None:
+        return np.asarray(f.batch(us), dtype=complex)
+    return np.array([f.fn(u) for u in us], dtype=complex)
 
 
 def mc_integrate_vector(
     batch_fn: Callable[[np.ndarray], np.ndarray], n: int, samples: int, seed: int, *, workers: int = 1
 ) -> list[McEstimate]:
-    """Monte Carlo integrals of a vector-valued batched integrand.
+    """Monte Carlo integrals of a vector-valued batched integrand over U(n).
 
-    ``batch_fn`` maps a (B, n, n) stack of unitaries to a (B, K) array; all K
-    components share the same Haar samples, which is what the multi-check CLI
-    commands want.
+    ``batch_fn`` maps a (B, n, n) stack of unitaries to a (B, K) array (or a
+    length-B array, K = 1); all K components share the same Haar samples and
+    are averaged with normalized Haar measure.
     """
-
-    def batch_values(us: np.ndarray) -> np.ndarray:
-        vals = np.asarray(batch_fn(us), dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return vals
-
-    mean, stderr, count = _run_blocks(batch_values, n, samples, seed, workers)
+    mean, stderr, count = _run_blocks(batch_fn, n, samples, seed, workers)
     return [
         McEstimate(mean=complex(m), stderr=float(s), samples=count, seed=int(seed))
         for m, s in zip(mean, stderr)
     ]
 
 
-def circle_quadrature(f: Callable[[complex], complex], nodes: int) -> complex:
+def mc_integrate(
+    f: BoundaryFunction, n: int, samples: int, seed: int, *, workers: int = 1
+) -> McEstimate:
+    """Monte Carlo integral of f over U(n): the K = 1 view of :func:`mc_integrate_vector`."""
+    return mc_integrate_vector(lambda us: _values(f, us), n, samples, seed, workers=workers)[0]
+
+
+def circle_quadrature(f: Callable[[complex], complex] | BoundaryFunction, nodes: int) -> complex:
     """Trapezoidal rule on the unit circle with normalized measure.
 
     Equispaced angles make this spectrally accurate for analytic integrands
-    (exact for trigonometric polynomials of degree < nodes).
+    (exact for trigonometric polynomials of degree < nodes).  ``f`` is a
+    function of one point of the circle, or a BoundaryFunction on U(1), which
+    sees the nodes as a (nodes, 1, 1) stack.
     """
     if nodes < 8:
         raise InvalidArgumentError(f"need at least 8 nodes, got {nodes}")
     thetas = 2.0 * np.pi * np.arange(nodes) / nodes
     us = np.exp(1j * thetas)
-    vals = np.array([f(u) for u in us], dtype=complex)
-    if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
-        raise NonFiniteSampleError(int(np.argmax(~np.isfinite(vals.real))))
+    g = f if isinstance(f, BoundaryFunction) else BoundaryFunction(fn=lambda u: f(u[0, 0]))
+    vals = _values(g, us[:, None, None])
+    _check_finite(vals, 0)
     return complex(vals.mean())
 
 
@@ -208,29 +216,13 @@ def poisson_transform(
 ) -> McEstimate:
     """The Poisson integral of boundary data f at the interior point z.
 
-    Disk evaluations use exact circle quadrature (stderr 0); type I uses
-    Haar Monte Carlo with the module's reproducible stream layout.
+    The integrand is the batched kernel times f.  Disk evaluations use exact
+    circle quadrature (stderr 0); type I uses Haar Monte Carlo with the
+    module's reproducible stream layout.
     """
+    integrand = BoundaryFunction(
+        fn=None, tag=f.tag, batch=lambda us: poisson_kernel_batch(spec, params, z, us) * _values(f, us)
+    )
     if spec.kind == "disk":
-        zm = complex(np.asarray(z, dtype=complex).reshape(-1)[0])
-
-        def g(u: complex) -> complex:
-            h_zz = 1.0 - abs(zm) ** 2
-            h_zu = 1.0 - zm * np.conj(u)
-            s = (params.lam + spec.eta - params.nu) / 2.0
-            kern = np.exp(s * np.log(h_zz / abs(h_zu) ** 2)) * h_zu ** (-params.nu)
-            return kern * f.fn(np.array([[u]], dtype=complex))
-
-        val = circle_quadrature(g, nodes)
-        return McEstimate(mean=val, stderr=0.0, samples=nodes, seed=int(seed))
-
-    def batch_values(us: np.ndarray) -> np.ndarray:
-        kern = poisson_kernel_batch(spec, params, z, us)
-        if f.batch is not None:
-            fv = np.asarray(f.batch(us), dtype=complex)
-        else:
-            fv = np.array([f.fn(u) for u in us], dtype=complex)
-        return kern * fv
-
-    mean, stderr, count = _run_blocks(batch_values, spec.matrix_size, samples, seed, workers)
-    return McEstimate(mean=complex(mean[0]), stderr=float(stderr[0]), samples=count, seed=int(seed))
+        return McEstimate(mean=circle_quadrature(integrand, nodes), stderr=0.0, samples=nodes, seed=int(seed))
+    return mc_integrate(integrand, spec.matrix_size, samples, seed, workers=workers)

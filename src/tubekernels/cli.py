@@ -446,10 +446,14 @@ def run_suite(cfg: dict) -> tuple[dict, int]:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise CliArgumentError(f"suite: cannot read config {path!r}: {exc}") from exc
-    experiments = doc.get("experiments", [])
+    experiments = doc.get("experiments", []) if isinstance(doc, dict) else None
+    if not isinstance(experiments, list):
+        raise CliArgumentError(f"suite: {path!r} must be a JSON object with an 'experiments' list")
     reports = []
     worst = EXIT_PASS
     for i, exp in enumerate(experiments):
+        if not isinstance(exp, dict):
+            raise CliArgumentError(f"suite experiment {i} must be a JSON object, got {exp!r}")
         command = exp.get("command")
         runner = _RUNNERS.get(command)
         if runner is None or command == "suite":

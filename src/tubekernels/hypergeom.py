@@ -17,7 +17,7 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, InvalidArgumentError, ParameterError
-from .partitions import _partition_tuples, jack_C_all
+from .partitions import _finite_point, _partition_tuples, jack_C_all
 
 __all__ = [
     "HyperParams",
@@ -81,9 +81,9 @@ def hyp2f1_multi(params: HyperParams, x, *, early_stop: bool = True, collect_she
     Pole handling: a zero of (c)_kappa is an error only when the affected
     term actually contributes, i.e. the numerator has not already terminated
     and C_kappa(x) != 0.  This keeps terminating series and zero arguments
-    usable while rejecting every genuine division by zero.
+    usable while rejecting every genuine division by zero.  x must be finite.
     """
-    xs = tuple(float(v) for v in x)
+    xs = _finite_point(x)
     r = len(xs)
     if r == 0:
         raise InvalidArgumentError("x must have at least one entry")

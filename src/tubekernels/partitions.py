@@ -10,13 +10,19 @@ Evaluation is recurrence-based: the variable-by-variable branching rule with
 hook-product coefficients, applied at a numeric point.  Polynomials are never
 expanded symbolically, so degrees of 30+ stay cheap.
 
-For one and two variables there are closed coefficient formulas (a single
-monomial, resp. ultraspherical-type coefficients), used by :func:`jack_C_all`
-to build whole tables of values quickly for the series engine.
+One engine (after Koev & Edelman, Math. Comp. 75 (2006)) keeps, per alpha,
+what does not depend on x: each partition's conjugate, column hook products
+and C normalization, in an ``lru_cache`` bounded to 4 alpha values.  The J
+values depend on x and are memoised while one table is built.  Tables cover
+every degree up to the requested kmax, so their cost follows (rank, alpha,
+kmax) and not the point.  For one and two variables there are closed
+coefficient formulas (a single monomial, resp. ultraspherical-type
+coefficients) that build whole tables at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -168,13 +174,12 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _column_hooks(parts: tuple[int, ...], al: float) -> tuple[list[float], list[float]]:
+def _column_hooks(parts: tuple[int, ...], conj: tuple[int, ...], al: float) -> tuple[list[float], list[float]]:
     """Per-column products of upper and lower hook lengths.
 
     upper(i,j) = kappa'_j - i + al*(kappa_i - j + 1)
     lower(i,j) = kappa'_j - i + 1 + al*(kappa_i - j)
     """
-    conj = _conjugate(parts)
     ncols = len(conj)
     upper = [1.0] * ncols
     lower = [1.0] * ncols
@@ -190,91 +195,24 @@ def _column_hooks(parts: tuple[int, ...], al: float) -> tuple[list[float], list[
     return upper, lower
 
 
-def _branch_beta(kappa, mu, al, colmemo) -> float:
-    """Branching coefficient for J-normalized Jack, kappa/mu a horizontal strip.
-
-    Columns where the two conjugates agree use upper hooks, others lower ones;
-    numerator runs over kappa's columns, denominator over mu's.
-    """
-    kc = _conjugate(kappa)
-    mc = _conjugate(mu)
-    if kappa not in colmemo:
-        colmemo[kappa] = _column_hooks(kappa, al)
-    if mu not in colmemo:
-        colmemo[mu] = _column_hooks(mu, al)
-    ku, kl = colmemo[kappa]
-    mu_u, mu_l = colmemo[mu]
-    num = 1.0
-    for j in range(len(kc)):
-        same = j < len(mc) and kc[j] == mc[j]
-        num *= ku[j] if same else kl[j]
-    den = 1.0
-    for j in range(len(mc)):
-        same = kc[j] == mc[j]
-        den *= mu_u[j] if same else mu_l[j]
-    return num / den
-
-
-def _horizontal_strips(parts: tuple[int, ...]):
-    """All mu with kappa/mu a horizontal strip: kappa_{i+1} <= mu_i <= kappa_i."""
-    ell = len(parts)
-
-    def rec(i: int):
-        if i == ell:
-            yield ()
-            return
-        lo = parts[i + 1] if i + 1 < ell else 0
-        for v in range(parts[i], lo - 1, -1):
-            for rest in rec(i + 1):
-                yield (v,) + rest
-
-    for mu in rec(0):
+def _horizontal_strips(parts: tuple[int, ...], max_length: int):
+    """All mu with kappa/mu a horizontal strip (kappa_{i+1} <= mu_i <= kappa_i)
+    and at most max_length parts, each row counting down from kappa_i."""
+    rows = [range(p, lo - 1, -1) for p, lo in zip(parts, parts[1:] + (0,))]
+    for i in range(max_length, len(parts)):
+        rows[i] = (0,) if 0 in rows[i] else ()
+    for mu in itertools.product(*rows):
         while mu and mu[-1] == 0:
             mu = mu[:-1]
         yield mu
 
 
-def _jack_J(parts, n, al, x, jmemo, colmemo) -> float:
-    """J-normalized Jack polynomial at (x_1, ..., x_n), by branching on x_n."""
-    if not parts:
-        return 1.0
-    if len(parts) > n:
-        return 0.0
-    key = (parts, n)
-    cached = jmemo.get(key)
-    if cached is not None:
-        return cached
-    if n == 1:
-        k = parts[0]
-        val = x[0] ** k
-        for j in range(k):
-            val *= 1.0 + j * al
-        jmemo[key] = val
-        return val
-    total = 0.0
-    w = sum(parts)
-    xn = x[n - 1]
-    for mu in _horizontal_strips(parts):
-        if len(mu) > n - 1:
-            continue
-        skip = w - sum(mu)
-        if skip > 0 and xn == 0.0:
-            continue
-        sub = _jack_J(mu, n - 1, al, x, jmemo, colmemo)
-        if sub == 0.0:
-            continue
-        total += sub * xn**skip * _branch_beta(parts, mu, al, colmemo)
-    jmemo[key] = total
-    return total
-
-
-def _c_norm(parts: tuple[int, ...], al: float) -> float:
+def _c_norm(parts: tuple[int, ...], conj: tuple[int, ...], al: float) -> float:
     """Factor turning J into C: alpha^|kappa| |kappa|! / (c_kappa c'_kappa).
 
     Fused as a per-box product (one factor alpha*m per box against that box's
     two hooks) so no intermediate outgrows double precision.
     """
-    conj = _conjugate(parts)
     out = 1.0
     m = 0
     for i, p in enumerate(parts, start=1):
@@ -286,6 +224,89 @@ def _c_norm(parts: tuple[int, ...], al: float) -> float:
     return out
 
 
+class _Engine(dict):
+    """The branching rule for one alpha.  Maps kappa, on first use, to its
+    conjugate, upper and lower column hook products and C normalization;
+    the x-dependent J values live in the ``memo`` the caller passes in."""
+
+    def __init__(self, al: float):
+        self.al = al
+        self.products: dict[float, float] = {}
+
+    def __missing__(self, parts: tuple[int, ...]) -> tuple:
+        conj = _conjugate(parts)
+        # Hook products are positive and repeat across partitions (about 800
+        # distinct values among 4000 partitions at k <= 40); one shared float
+        # per value keeps the engine small.
+        upper, lower = ([self.products.setdefault(v, v) for v in hooks]
+                        for hooks in _column_hooks(parts, conj, self.al))
+        shape = self[parts] = (conj, upper, lower, _c_norm(parts, conj, self.al))
+        return shape
+
+    def _beta(self, kappa: tuple[int, ...], mu: tuple[int, ...]) -> float:
+        """Branching coefficient for J-normalized Jack, kappa/mu a horizontal strip.
+
+        Columns j with mu_i <= j < kappa_i for some row i (those losing a box)
+        use lower hooks, others upper ones; numerator over kappa's columns,
+        denominator over mu's, each multiplied left to right.
+        """
+        _, ku, kl, _ = self[kappa]
+        _, mu_u, mu_l, _ = self[mu]
+        num, den = [], []
+        done = 0  # columns placed so far; the last row's strip lies leftmost
+        for i in range(len(kappa) - 1, -1, -1):
+            lo = mu[i] if i < len(mu) else 0
+            hi = kappa[i]
+            num += ku[done:lo] + kl[lo:hi]
+            den += mu_u[done:lo] + mu_l[lo:hi]
+            done = hi
+        return math.prod(num, start=1.0) / math.prod(den, start=1.0)
+
+    def J(self, parts: tuple[int, ...], n: int, x: tuple[float, ...], memo: dict) -> float:
+        """J-normalized Jack polynomial at (x_1, ..., x_n), by branching on x_n."""
+        if not parts:
+            return 1.0
+        if len(parts) > n:
+            return 0.0
+        key = (parts, n)
+        total = memo.get(key)
+        if total is not None:
+            return total
+        if n == 1:
+            total = x[0] ** parts[0]
+            for j in range(parts[0]):
+                total *= 1.0 + j * self.al
+        else:
+            total = 0.0
+            w = sum(parts)
+            xn = x[n - 1]
+            for mu in _horizontal_strips(parts, n - 1):
+                skip = w - sum(mu)
+                if skip > 0 and xn == 0.0:
+                    continue
+                sub = self.J(mu, n - 1, x, memo)
+                if sub != 0.0:
+                    total += sub * xn**skip * self._beta(parts, mu)
+        memo[key] = total
+        return total
+
+    def C(self, parts: tuple[int, ...], x: tuple[float, ...], memo: dict) -> float:
+        """C-normalized Jack polynomial at x, for len(parts) <= len(x)."""
+        return self[parts][3] * self.J(parts, len(x), x, memo)
+
+
+# Bounded: an engine grows with the partitions reached, so keep few alphas.
+_engine = lru_cache(maxsize=4)(_Engine)
+
+
+def _finite_point(x) -> tuple[float, ...]:
+    """x as a tuple of floats; NaN or inf in it is a bad argument."""
+    xs = tuple(float(v) for v in x)
+    if not all(math.isfinite(v) for v in xs):
+        raise InvalidArgumentError(f"x must be finite, got {xs}")
+    return xs
+
+
 def jack_C(kappa: Partition, alpha, x) -> float:
     """C-normalized Jack polynomial at a real point x of length r.
 
@@ -293,10 +314,11 @@ def jack_C(kappa: Partition, alpha, x) -> float:
     Degrees are bounded (100 through the branching recursion, 200 for the
     single-variable monomial) to stay within double-precision range; the
     table builder :func:`jack_C_all` goes deeper in one and two variables.
+    NaN or inf in x is rejected.
     """
     al = _alpha_value(alpha)
     parts = kappa.parts
-    xs = tuple(float(v) for v in x)
+    xs = _finite_point(x)
     r = len(xs)
     if len(parts) > r:
         return 0.0
@@ -307,10 +329,7 @@ def jack_C(kappa: Partition, alpha, x) -> float:
         raise InvalidArgumentError(f"degree {kappa.weight} exceeds supported maximum {bound}")
     if r == 1:
         return xs[0] ** parts[0]
-    jmemo: dict = {}
-    colmemo: dict = {}
-    j_val = _jack_J(parts, r, al, xs, jmemo, colmemo)
-    return _c_norm(parts, al) * j_val
+    return _engine(al).C(parts, xs, {})
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +380,26 @@ def jack_C_all(alpha, x, kmax: int):
     """Read-only table of C_kappa(x) for every |kappa| <= kmax, length <= len(x).
 
     Keys are part tuples (trailing zeros stripped).  Fast closed forms cover
-    one and two variables; higher ranks fall back to the branching recursion.
+    one and two variables; higher ranks ask the engine for every kappa.
     Tables are cached per (alpha, x, kmax); the returned mapping must not be
     mutated (it is a shared read-only view).
     """
+    al, xs = _table_args(alpha, x, kmax)
+    return _jack_table_cached(al, xs, kmax)
+
+
+def _table_args(alpha, x, kmax: int) -> tuple[float, tuple[float, ...]]:
+    """Validated (alpha, x) for a table up to degree kmax; x must be finite."""
     al = _alpha_value(alpha)
-    xs = tuple(float(v) for v in x)
+    xs = _finite_point(x)
     if kmax < 0:
         raise InvalidArgumentError(f"kmax must be nonnegative, got {kmax}")
     if kmax > _MAX_WEIGHT:
         raise InvalidArgumentError(f"kmax {kmax} exceeds supported maximum {_MAX_WEIGHT}")
-    return _jack_table_cached(al, xs, kmax)
+    if len(xs) >= 3 and kmax > _MAX_WEIGHT_GENERAL:
+        raise InvalidArgumentError(f"kmax {kmax} exceeds the branching-path maximum {_MAX_WEIGHT_GENERAL} "
+                                   f"for rank {len(xs)}")
+    return al, xs
 
 
 @lru_cache(maxsize=48)
@@ -388,14 +416,6 @@ def _jack_table_cached(al: float, xs: tuple[float, ...], kmax: int):
         return MappingProxyType(table)
     if r == 2:
         return MappingProxyType(_rank2_table(al, xs[0], xs[1], kmax))
-    if kmax > _MAX_WEIGHT_GENERAL:
-        raise InvalidArgumentError(
-            f"kmax {kmax} exceeds the branching-path maximum {_MAX_WEIGHT_GENERAL} for rank {r}"
-        )
-    table = {(): 1.0}
-    jmemo: dict = {}
-    colmemo: dict = {}
-    for k in range(1, kmax + 1):
-        for parts in _partition_tuples(k, r):
-            table[parts] = _c_norm(parts, al) * _jack_J(parts, r, al, xs, jmemo, colmemo)
-    return MappingProxyType(table)
+    engine, memo = _engine(al), {}
+    return MappingProxyType({parts: engine.C(parts, xs, memo) for k in range(kmax + 1)
+                             for parts in _partition_tuples(k, r)})

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalError
+from .errors import DomainError, InvalidArgumentError, NumericalError
 from .hypergeom import hyp2f1_classical
 
 __all__ = [
@@ -159,6 +159,8 @@ def phi_lambda_k(lam: complex, k: int, t: float, n: int) -> complex:
     s = (lam + n) / 2.0
     th = math.tanh(t)
     x = th * th
+    if not x < 1.0:  # |t| so large that tanh^2 t rounds to 1, or t NaN
+        raise DomainError(f"tanh^2 t must be < 1, got {x} at t={t}")
     pref = np.exp(s * np.log1p(-x)) * _poch(s, k) / math.factorial(k) * th**k
     return complex(pref * hyp2f1_classical(s, s + k, 1 + k, x))
 

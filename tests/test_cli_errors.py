@@ -1,6 +1,9 @@
-"""Inputs that used to end in a traceback now exit 3 with one `error:` line."""
+"""Bad inputs that used to crash, warn or print non-JSON now exit 3 with one `error:` line."""
 
 import json
+import warnings
+
+import pytest
 
 from tubekernels.cli import EXIT_BAD_ARGS, EXIT_PASS, main
 
@@ -50,3 +53,42 @@ def test_suite_config_that_is_not_json(capsys, tmp_path):
     code, _, err = _run(capsys, "suite", "--config", str(path))
     assert code == EXIT_BAD_ARGS
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("x", ["nan,0.1,0.1", "0.1,inf,0.1", "-inf,0.2"])
+def test_eval_2f1_rejects_non_finite_x_as_a_bad_argument(capsys, x):
+    code, out, err = _run(capsys, "eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--m", "2", "--x=" + x)
+    assert code == EXIT_BAD_ARGS
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_suite_document_that_is_not_an_object(capsys, tmp_path):
+    path = tmp_path / "suite.json"
+    for doc in ([1, 2], {"experiments": "check-pde"}, {"experiments": None}):
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "suite", "--config", str(path))
+        assert code == EXIT_BAD_ARGS
+        assert out == ""
+        assert err.startswith("error:") and "experiments" in err
+
+
+def test_suite_experiment_that_is_not_an_object(capsys, tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"experiments": ["check-pde"]}))
+    code, out, err = _run(capsys, "suite", "--config", str(path))
+    assert code == EXIT_BAD_ARGS
+    assert out == ""
+    assert err.startswith("error:") and "experiment 0" in err
+
+
+def test_schur_det_at_tanh_squared_one_warns_nothing(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(
+            capsys, "check-schur-det", "--t", "30", "--n", "2", "--sig", "1,0", "--lambda", "0.5", "--samples", "1000"
+        )
+    assert code == EXIT_BAD_ARGS
+    assert out == ""
+    assert err.startswith("error:") and "Warning" not in err
+    assert [str(w.message) for w in caught] == []

@@ -36,7 +36,7 @@ class GeometryError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical fallback path (e.g. eigenvalue perturbation) failed."""
+    """A computed quantity that must be exact is not (e.g. a non-integral Weyl dimension)."""
 
 
 class NonFiniteSampleError(RuntimeError):

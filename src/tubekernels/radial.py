@@ -78,6 +78,8 @@ class RadialPoint:
         ts = tuple(float(v) for v in t)
         if not ts:
             raise InvalidArgumentError("t must have at least one entry")
+        if not all(math.isfinite(v) for v in ts):
+            raise InvalidArgumentError(f"t must be finite, got {ts}")
         if max(abs(v) for v in ts) > bound:
             raise InvalidArgumentError(f"|t_j| must stay <= {bound}, got {ts}")
         object.__setattr__(self, "t", ts)
@@ -291,6 +293,8 @@ def x_system_residual(
     r = sp.rank
     if len(xs) != r:
         raise InvalidArgumentError(f"x has rank {len(xs)}, params have rank {r}")
+    if not all(math.isfinite(v) for v in xs):
+        raise InvalidArgumentError(f"x must be finite, got {xs}")
     if max(xs) > -10.0 * h:
         raise GeometryError(f"x_k must stay below -10h, got {xs}")
     for j in range(r):

@@ -1,9 +1,11 @@
 """Schur characters on U(n), Weyl dimensions, and the determinant-side formulas.
 
-phi_m is the normalized character: the bialternant ratio evaluated on the
-eigenvalues of u, divided by the Weyl dimension, so phi_m(identity) = 1 and
-|phi_m| <= 1.  Signatures may have negative parts; those are folded out
-through s_m = det(u)^(m_n) s_(m - m_n).
+phi_m is the normalized character s_m(u) / d_m, so phi_m(identity) = 1 and
+|phi_m| <= 1.  It is computed from traces of powers of u alone, through the
+characteristic polynomial and the Jacobi-Trudi determinant, with no
+eigenvalue decomposition and no division by eigenvalue gaps.  Signatures may
+have negative parts; those are folded out through s_m = det(u)^(m_n)
+s_(m - m_n), with det(u) the top coefficient of the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "det_formula_rhs",
 ]
 
-_COLLISION_TOL = 1e-9
 _UNITARY_TOL = 1e-10
 
 
@@ -62,32 +63,8 @@ def weyl_dim(sig: SignatureM) -> int:
     return int(out)
 
 
-def _char_jacobi_trudi(eigs: np.ndarray, shifted: tuple[int, ...]) -> complex:
-    """Division-free character via det(h_{m_i - i + j}) with Newton's identities.
-
-    Collision-proof: no Vandermonde quotient, so it stays exact (to rounding)
-    when eigenvalues coincide.  Used only on the collision branch of
-    :func:`phi_m_batch`; the bialternant is cheaper for well-separated spectra.
-    """
-    n = len(shifted)
-    top = shifted[0] + n - 1
-    p = [complex(np.sum(eigs**j)) for j in range(1, top + 1)]
-    h = [1.0 + 0.0j]
-    for k in range(1, top + 1):
-        acc = 0.0 + 0.0j
-        for i in range(1, k + 1):
-            acc += p[i - 1] * h[k - i]
-        h.append(acc / k)
-
-    def h_at(k: int) -> complex:
-        return h[k] if 0 <= k <= top else 0.0 + 0.0j
-
-    mat = np.array([[h_at(shifted[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)])
-    return complex(np.linalg.det(mat))
-
-
 def schur_char(sig: SignatureM, u) -> complex:
-    """Character value s_m(eigenvalues of u) for a unitary u: weyl_dim times :func:`phi_m`."""
+    """Character value s_m(u) of a unitary u: weyl_dim times :func:`phi_m`."""
     return phi_m(sig, u) * weyl_dim(sig)
 
 
@@ -104,41 +81,46 @@ def phi_m(sig: SignatureM, u) -> complex:
 
 
 def phi_m_batch(sig: SignatureM, us: np.ndarray) -> np.ndarray:
-    """Normalized characters over a (B, n, n) stack of unitaries.
+    """Normalized characters over a (B, n, n) stack of unitaries, from traces alone.
 
-    Generic spectra go through the bialternant ratio
-    det(x_i^(m_j + n - j)) / det(x_i^(n - j)); samples whose eigenvalues
-    collide within 1e-9 (a Haar-measure-zero event) switch to the
-    division-free Jacobi-Trudi determinant, which has no cancellation at
-    coincident points.
+    The power sums p_k = tr(u^k), k <= n, give the characteristic polynomial
+    through Newton's identities, its coefficients e_k give the complete
+    symmetric functions by h_k = sum_i (-1)^(i-1) e_i h_(k-i), and the
+    character is the Jacobi-Trudi determinant det(h_(m_i - i + j)) times
+    e_n^(m_n) = det(u)^(m_n) (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.2-3).  No eigenvalue is computed and nothing is divided
+    by an eigenvalue gap, so coincident eigenvalues need no special case.
     """
     us = np.asarray(us, dtype=complex)
     n = sig.n
     if us.ndim != 3 or us.shape[1:] != (n, n):
         raise InvalidArgumentError(f"expected shape (B, {n}, {n}), got {us.shape}")
-    dim = weyl_dim(sig)
     shift = sig.parts[-1]
-    shifted = tuple(p - shift for p in sig.parts)
-    eigs = np.linalg.eigvals(us)
-    if n == 1:
-        return (eigs[:, 0] ** sig.parts[0]) / dim
-    exps = np.array([shifted[j] + n - 1 - j for j in range(n)])
-    num = np.linalg.det(eigs[:, :, None] ** exps[None, None, :])
-    den = np.ones(us.shape[0], dtype=complex)
-    gap = np.full(us.shape[0], np.inf)
+    shifted = [p - shift for p in sig.parts]
+    top = shifted[0] + n - 1
+    # p[k] = tr(u^k); u^(k-1) u is traced without forming u^k
+    p = [None, np.einsum("bii->b", us)]
+    power = us
+    for k in range(2, n + 1):
+        p.append(np.einsum("bij,bji->b", power, us))
+        if k < n:
+            power = power @ us
+    e = [np.ones(us.shape[0], dtype=complex)]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)
+    h = [e[0]]
+    for k in range(1, top + 1):
+        h.append(sum((-1) ** (i - 1) * e[i] * h[k - i] for i in range(1, min(k, n) + 1)))
+    jt = np.zeros_like(us)
     for i in range(n):
-        for j in range(i + 1, n):
-            diff = eigs[:, i] - eigs[:, j]
-            den *= diff
-            gap = np.minimum(gap, np.abs(diff))
-    colliding = gap < _COLLISION_TOL
-    den = np.where(colliding, 1.0, den)
-    out = num / den
-    for idx in np.nonzero(colliding)[0]:
-        out[idx] = _char_jacobi_trudi(eigs[idx], shifted)
+        for j in range(n):
+            k = shifted[i] - i + j
+            if k >= 0:
+                jt[:, i, j] = h[k]
+    out = np.linalg.det(jt)
     if shift:
-        out = out * np.linalg.det(us) ** shift
-    return out / dim
+        out = out * e[n] ** shift
+    return out / weyl_dim(sig)
 
 
 def _poch(a: complex, k: int) -> complex:

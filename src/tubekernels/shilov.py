@@ -3,10 +3,10 @@
 Reproducibility contract: sample i is generated from a counter-based stream
 keyed by (seed, i // BLOCK) with a fixed internal block length, and block
 results are merged in block order.  Each component of an estimate is
-therefore a pure function of (seed, samples, K), K being the number of
-components the integrand returns side by side - bitwise identical no matter
-how many workers run the blocks.  The same component at a different K may
-differ in the last bits, because the block mean reduces all K columns at once.
+therefore a pure function of (seed, samples) - bitwise identical no matter
+how many workers run the blocks, and no matter how many other components the
+integrand returns beside it, since each block reduces every component over
+its own contiguous row.
 """
 
 from __future__ import annotations
@@ -124,8 +124,10 @@ def _block_stats(values: np.ndarray, start_index: int):
     if vals.ndim == 1:
         vals = vals[:, None]
     _check_finite(vals, start_index)
-    mean = vals.mean(axis=0)
-    m2 = np.sum(np.abs(vals - mean) ** 2, axis=0)
+    # one contiguous row per component, so each row reduces exactly as it would alone
+    cols = np.ascontiguousarray(vals.T)
+    mean = cols.mean(axis=1)
+    m2 = np.sum(np.abs(cols - mean[:, None]) ** 2, axis=1)
     return vals.shape[0], mean, m2
 
 

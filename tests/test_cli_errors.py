@@ -92,3 +92,18 @@ def test_schur_det_at_tanh_squared_one_warns_nothing(capsys):
     assert out == ""
     assert err.startswith("error:") and "Warning" not in err
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval-spherical", "--r", "2", "--lambda", "0.9", "--t", "nan,0.3"),
+        ("check-hua-integral", "--domain", "disk", "--lambda", "0.8", "--t", "nan"),
+        ("check-x-system", "--r", "2", "--m", "2", "--lambda", "0.9", "--x=nan,0.1"),
+    ],
+)
+def test_non_finite_t_and_x_are_bad_arguments(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_BAD_ARGS
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err

@@ -139,6 +139,21 @@ def test_vector_integrands_share_samples():
     assert ests[1].stderr == pytest.approx(2.0 * ests[0].stderr, rel=1e-15)
 
 
+def test_component_does_not_depend_on_its_neighbours():
+    # K = 1 and K = 3 give component 0 the same bits, over several blocks
+    def first(us):
+        return us[:, 0, 0] * np.conj(us[:, 1, 1]) + 0.3 * us[:, 0, 1]
+
+    def stacked(us):
+        return np.stack([first(us), np.abs(us[:, 1, 0]) ** 2, us[:, 1, 1] ** 3], axis=1)
+
+    for seed in range(4):
+        alone = mc_integrate_vector(first, 2, 2 * BLOCK + 101, seed=seed)[0]
+        beside = mc_integrate_vector(stacked, 2, 2 * BLOCK + 101, seed=seed)[0]
+        assert alone.mean == beside.mean
+        assert alone.stderr == beside.stderr
+
+
 def test_non_finite_sample_reports_index():
     counter = {"i": -1}
 

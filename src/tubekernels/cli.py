@@ -24,6 +24,7 @@ from .domains import (
     LineBundleParams,
     casimir_eigenvalue,
     catalog_record,
+    char_poly_coeffs,
     cocycle_residual,
     hua_eigenvalue,
     kernel_covariance_residual,
@@ -93,19 +94,25 @@ _floats = _list_of(float)
 _ints = _list_of(int)
 
 
+def _finite(value: complex) -> complex:
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _complex(value) -> complex:
-    """A number, or a complex literal like 1.3+0.2j."""
+    """A finite number, or a complex literal like 1.3+0.2j."""
     if isinstance(value, (int, float, complex)):
-        return complex(value)
-    return complex(str(value).replace(" ", ""))
+        return _finite(complex(value))
+    return _finite(complex(str(value).replace(" ", "")))
 
 
 def _point(value) -> complex:
-    """A planar point 're,im' (also accepts a bare complex literal)."""
+    """A finite planar point 're,im' (also accepts a bare complex literal)."""
     s = str(value)
     if "," in s:
         re_s, im_s = s.split(",")
-        return complex(float(re_s), float(im_s))
+        return _finite(complex(float(re_s), float(im_s)))
     return _complex(s)
 
 
@@ -280,7 +287,9 @@ def schur_det_integrands(n: int, lam: complex, t: float, sig: SignatureM):
 
     The |h|^2 reading is the nu = 0 Poisson kernel; the |h| reading,
     [h(z,z)/|h(z,u)|]^((lam+eta)/2), is no kernel and is formed beside it from
-    the same h(z, u), which is evaluated once per block.
+    the same h(z, u).  Both h(tau I, u) = det(I - tau u*) = sum_k (-tau)^k
+    conj(e_k(u)) and phi_m come from one set of characteristic-polynomial
+    coefficients e_k(u) per block, with no determinant of I - tau u*.
     """
     spec = DomainSpec.type_i(n)
     kernel = LineBundleParams(lam=lam, nu=0)
@@ -290,8 +299,9 @@ def schur_det_integrands(n: int, lam: complex, t: float, sig: SignatureM):
     s = (lam + spec.eta) / 2.0
 
     def batch(us: np.ndarray) -> np.ndarray:
-        h_zu = np.linalg.det(np.eye(n) - th * us.conj().transpose(0, 2, 1))
-        phi = phi_m_batch(sig, us)
+        e = char_poly_coeffs(us)
+        h_zu = sum((-th) ** k * e[k].conj() for k in range(n + 1))
+        phi = phi_m_batch(sig, us, coeffs=e)
         squared = poisson_kernel_batch(spec, kernel, z, us, h_zu=h_zu) * phi
         single = np.exp(s * (log_h_zz - np.log(np.abs(h_zu)))) * phi
         return np.stack([squared, single], axis=1)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, SingularActionError, SingularKernelError
 
@@ -33,6 +32,7 @@ __all__ = [
     "KernelPoint",
     "AdmissibilityReport",
     "catalog_record",
+    "char_poly_coeffs",
     "jordan_h",
     "poisson_kernel",
     "poisson_kernel_batch",
@@ -190,13 +190,52 @@ class KernelPoint:
         object.__setattr__(self, "u", um)
 
 
+def char_poly_coeffs(ms: np.ndarray) -> list[np.ndarray]:
+    """Coefficients e_0..e_n of det(I + x m) = sum_k e_k x^k over a (B, n, n) stack.
+
+    e_k is the k-th elementary symmetric function of the eigenvalues, obtained
+    from the power traces p_k = tr(m^k), k <= n, by Newton's identities
+    k e_k = sum_i (-1)^(i-1) e_(k-i) p_i (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.2).  p_k is traced as tr(m^(k - k//2) m^(k//2)), so
+    only the powers up to m^ceil(n/2) are formed.  No factorization and no
+    eigenvalue is computed.
+    """
+    n = ms.shape[-1]
+    power = [None, ms]
+    for k in range(2, (n + 1) // 2 + 1):
+        power.append(power[k - 1] @ ms)
+    p = [None, np.einsum("bii->b", ms)]
+    for k in range(2, n + 1):
+        p.append(np.einsum("bij,bji->b", power[k - k // 2], power[k // 2]))
+    e = [np.ones(ms.shape[0], dtype=ms.dtype)]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)
+    return e
+
+
+def _h_batch(zm: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """h(z, u) = det(I - z u*) over a (B, n, n) stack u, from the coefficients of
+    (z u*)^T = conj(u) z^T, which has the same characteristic polynomial.
+
+    Column i of (z u*)^T is sum_j z_ij conj(u)[:, :, j]: n^2 scalar multiples
+    of strided columns, each one long loop, with no einsum and no BLAS call.
+    """
+    n = zm.shape[0]
+    uc = us.conj()
+    m = np.empty_like(uc)
+    for i in range(n):
+        col = uc[:, :, 0] * zm[i, 0]
+        for j in range(1, n):
+            col += uc[:, :, j] * zm[i, j]
+        m[:, :, i] = col
+    return sum((-1) ** k * e for k, e in enumerate(char_poly_coeffs(m)))
+
+
 def jordan_h(spec: DomainSpec, z, w) -> complex:
     """Jordan determinant polynomial h(z, w), holomorphic in z, conjugate in w."""
     zm = _as_matrix(spec, z)
     wm = _as_matrix(spec, w)
-    if spec.matrix_size == 1:
-        return complex(1.0 - zm[0, 0] * np.conj(wm[0, 0]))
-    return complex(np.linalg.det(np.eye(spec.matrix_size) - zm @ wm.conj().T))
+    return complex(_h_batch(zm, wm[None])[0])
 
 
 def _int_power(w: complex, k: int) -> complex:
@@ -216,9 +255,11 @@ def poisson_kernel_batch(
 
     [h(z,z)/|h(z,u)|^2]^((lam+eta-nu)/2) * h(z,u)^(-nu); the first factor uses
     the principal branch on its positive real base, the second is an exact
-    integer power.  ``h_zu`` passes h(z, u) already evaluated on ``u_batch``,
-    for callers that read it for more than the kernel.  A z off the open
-    domain, or a u with h(z, u) = 0, raises :class:`SingularKernelError`.
+    integer power.  h(z, u) = det(I - z u*) = sum_k (-1)^k e_k(z u*) comes
+    from the characteristic-polynomial coefficients of :func:`char_poly_coeffs`,
+    with no determinant call; ``h_zu`` passes it already evaluated on
+    ``u_batch``, for callers that read it for more than the kernel.  A z off
+    the open domain, or a u with h(z, u) = 0, raises :class:`SingularKernelError`.
     """
     n = spec.matrix_size
     zm = _as_matrix(spec, z)
@@ -229,7 +270,7 @@ def poisson_kernel_batch(
     if not h_zz > 0.0 or _spectral_norm(zm) >= 1.0:
         raise SingularKernelError(f"h(z, z) = {h_zz}, |z| = {_spectral_norm(zm)}; z is not interior")
     if h_zu is None:
-        h_zu = np.linalg.det(np.eye(n) - np.einsum("ij,bkj->bik", zm, us.conj()))
+        h_zu = _h_batch(zm, us)
     if np.any(np.abs(h_zu) < 1e-300):
         raise SingularKernelError("h(z, u) = 0: kernel is singular at this boundary point")
     base = h_zz / np.abs(h_zu) ** 2
@@ -356,6 +397,8 @@ def random_group_element(n: int, rng: np.random.Generator, scale: float = 0.5) -
     nrm = np.linalg.norm(xi, 2)
     if nrm > scale:
         xi *= scale / nrm
+    import scipy.linalg  # the only SciPy use; kept off the import path of the CLI
+
     return scipy.linalg.expm(xi)
 
 

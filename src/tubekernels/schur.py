@@ -2,8 +2,9 @@
 
 phi_m is the normalized character s_m(u) / d_m, so phi_m(identity) = 1 and
 |phi_m| <= 1.  It is computed from traces of powers of u alone, through the
-characteristic polynomial and the Jacobi-Trudi determinant, with no
-eigenvalue decomposition and no division by eigenvalue gaps.  Signatures may
+characteristic polynomial (the helper shared with the Poisson kernel's
+h(z, u)) and the Jacobi-Trudi determinant, with no eigenvalue decomposition
+and no division by eigenvalue gaps.  Signatures may
 have negative parts; those are folded out through s_m = det(u)^(m_n)
 s_(m - m_n), with det(u) the top coefficient of the characteristic polynomial.
 """
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .domains import char_poly_coeffs
 from .errors import DomainError, InvalidArgumentError, NumericalError
 from .hypergeom import hyp2f1_classical
 
@@ -80,16 +82,19 @@ def phi_m(sig: SignatureM, u) -> complex:
     return complex(phi_m_batch(sig, um[None])[0])
 
 
-def phi_m_batch(sig: SignatureM, us: np.ndarray) -> np.ndarray:
+def phi_m_batch(sig: SignatureM, us: np.ndarray, *, coeffs: list[np.ndarray] | None = None) -> np.ndarray:
     """Normalized characters over a (B, n, n) stack of unitaries, from traces alone.
 
-    The power sums p_k = tr(u^k), k <= n, give the characteristic polynomial
-    through Newton's identities, its coefficients e_k give the complete
-    symmetric functions by h_k = sum_i (-1)^(i-1) e_i h_(k-i), and the
-    character is the Jacobi-Trudi determinant det(h_(m_i - i + j)) times
-    e_n^(m_n) = det(u)^(m_n) (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.2-3).  No eigenvalue is computed and nothing is divided
-    by an eigenvalue gap, so coincident eigenvalues need no special case.
+    The coefficients e_k of the characteristic polynomial come from
+    :func:`~tubekernels.domains.char_poly_coeffs` (power traces and Newton's
+    identities), the same helper that gives the Jordan polynomial h(z, u) of
+    the Poisson kernel; ``coeffs`` passes them already computed on ``us``.
+    They give the complete symmetric functions by h_k = sum_i (-1)^(i-1) e_i
+    h_(k-i), and the character is the Jacobi-Trudi determinant
+    det(h_(m_i - i + j)) times e_n^(m_n) = det(u)^(m_n) (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.2-3).  No eigenvalue is computed and
+    nothing is divided by an eigenvalue gap, so coincident eigenvalues need no
+    special case.
     """
     us = np.asarray(us, dtype=complex)
     n = sig.n
@@ -98,16 +103,7 @@ def phi_m_batch(sig: SignatureM, us: np.ndarray) -> np.ndarray:
     shift = sig.parts[-1]
     shifted = [p - shift for p in sig.parts]
     top = shifted[0] + n - 1
-    # p[k] = tr(u^k); u^(k-1) u is traced without forming u^k
-    p = [None, np.einsum("bii->b", us)]
-    power = us
-    for k in range(2, n + 1):
-        p.append(np.einsum("bij,bji->b", power, us))
-        if k < n:
-            power = power @ us
-    e = [np.ones(us.shape[0], dtype=complex)]
-    for k in range(1, n + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)
+    e = char_poly_coeffs(us) if coeffs is None else coeffs
     h = [e[0]]
     for k in range(1, top + 1):
         h.append(sum((-1) ** (i - 1) * e[i] * h[k - i] for i in range(1, min(k, n) + 1)))

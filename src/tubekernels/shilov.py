@@ -76,14 +76,23 @@ def philox_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([int(seed) & _MASK64, stream], dtype=np.uint64)))
 
 
+def _ginibre(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """(count, n, n) complex Ginibre matrices (a + i b)/sqrt(2): the real parts are
+    drawn first, each written straight into the complex buffer."""
+    z = np.empty((count, n, n), dtype=complex)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(rng.standard_normal((count, n, n)), scale, out=z.real)
+    np.multiply(rng.standard_normal((count, n, n)), scale, out=z.imag)
+    return z
+
+
 def _haar_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """(count, n, n) Haar unitaries (Mezzadri 2007).
 
     Complex Ginibre matrices, QR factorization, then each column rescaled by
     the unit phase of the matching diagonal entry of R.
     """
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_ginibre(rng, n, count))
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
 

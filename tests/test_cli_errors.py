@@ -107,3 +107,22 @@ def test_non_finite_t_and_x_are_bad_arguments(capsys, argv):
     assert code == EXIT_BAD_ARGS
     assert out == ""
     assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-casimir-disk", "--lambda", "2", "--z", "nan,0.1"),
+        ("check-casimir-disk", "--lambda", "2", "--z", "0.1,inf"),
+        ("check-covariance", "--n", "2", "--lambda", "nan", "--trials", "5"),
+        ("eval-spherical", "--r", "2", "--lambda", "nan", "--t", "0.2,0.3"),
+        ("check-hua-integral", "--domain", "typeI", "--lambda", "inf", "--t", "0.3,0.5"),
+        ("check-schur-det", "--n", "2", "--sig", "1,0", "--lambda", "0.5+nanj", "--t", "0.4"),
+        ("eval-2f1", "--a=-inf", "--b", "1", "--c", "2", "--x", "0.1"),
+    ],
+)
+def test_non_finite_lambda_and_z_are_bad_arguments(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_BAD_ARGS
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err

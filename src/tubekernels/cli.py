@@ -1,9 +1,12 @@
 """Command-line front end: evaluate series and run the verification experiments.
 
-Every command emits one machine-readable report (JSON canonical; csv/text are
-projections of the same dict) with full config echo, so a run can be
-reproduced from its own output.  Exit codes: 0 pass, 1 fail, 2 series did not
-converge, 3 invalid arguments.
+Each command has one table of keys in ``_SCHEMA`` (reader, default, help).
+Its flags are built from that table, and ``_resolve`` reads a command line and
+a ``suite`` entry alike; the resolved keys are what the runner uses and what
+the report echoes.  Every command emits one machine-readable report (JSON
+canonical; csv/text are projections of the same dict).  Exit codes: 0 pass,
+1 fail, 2 no answer (no convergence, overflow, a non-finite result), 3 invalid
+arguments, such as an unknown, unreadable or missing key.
 """
 
 from __future__ import annotations
@@ -15,46 +18,19 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .domains import (
-    DomainSpec,
-    LineBundleParams,
-    casimir_eigenvalue,
-    catalog_record,
-    char_poly_coeffs,
-    cocycle_residual,
-    hua_eigenvalue,
-    kernel_covariance_residual,
-    poisson_kernel_batch,
-    random_group_element,
-)
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GeometryError,
-    InvalidArgumentError,
-    NonFiniteSampleError,
-    NumericalError,
-    ParameterError,
-    SingularActionError,
-    SingularKernelError,
-)
+from .domains import (DomainSpec, LineBundleParams, casimir_eigenvalue, catalog_record, char_poly_coeffs,
+                      cocycle_residual, hua_eigenvalue, kernel_covariance_residual, poisson_kernel_batch,
+                      random_group_element)
+from .errors import (ConvergenceError, DomainError, GeometryError, InvalidArgumentError, NonFiniteResultError,
+                     NonFiniteSampleError, NumericalError, ParameterError, SingularActionError, SingularKernelError)
 from .hypergeom import HyperParams, hyp2f1_multi
-from .radial import (
-    RadialPoint,
-    SphericalParams,
-    disk_casimir_residual,
-    disk_poisson_value,
-    hua_integral_rhs,
-    radial_eigenvalue,
-    radial_residual_report,
-    spherical_F,
-    spherical_F_xform,
-    x_system_residual,
-)
+from .radial import (RadialPoint, SphericalParams, disk_casimir_residual, disk_poisson_value, hua_integral_rhs,
+                     radial_eigenvalue, radial_residual_report, spherical_F, spherical_F_xform, x_system_residual)
 from .schur import SignatureM, det_formula_rhs, phi_m_batch
 from .shilov import BoundaryFunction, haar_unitary, mc_integrate_vector, philox_generator, poisson_transform
 
@@ -64,95 +40,193 @@ EXIT_FAIL = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_BAD_ARGS = 3
 
-
-class CliArgumentError(Exception):
-    pass
+DOMAIN_KINDS = ("disk", "typeI", "typeII", "typeIII", "typeIV", "e7")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 3
-        raise CliArgumentError(message)
+        raise InvalidArgumentError(message)
 
 
 # ---------------------------------------------------------------------------
-# small codecs
+# readers: one per value kind; each takes command-line text or a JSON value
 # ---------------------------------------------------------------------------
 
 
-def _list_of(kind):
-    """Reader of a list as given, or of comma-separated text read by ``kind``."""
-
-    def read(value) -> tuple:
-        if isinstance(value, (list, tuple)):
-            return tuple(value)
-        return tuple(kind(v) for v in str(value).split(",") if v != "")
-
-    return read
-
-
-_floats = _list_of(float)
-_ints = _list_of(int)
-
-
-def _finite(value: complex) -> complex:
+def _finite(value):
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError(f"{value} is not finite")
     return value
 
 
+def _int(value) -> int:
+    """An integer, an integral float or integer text; a bool is no integer."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A finite real number or its text."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{value!r} is not a number")
+    return _finite(float(value))
+
+
 def _complex(value) -> complex:
     """A finite number, or a complex literal like 1.3+0.2j."""
-    if isinstance(value, (int, float, complex)):
-        return _finite(complex(value))
-    return _finite(complex(str(value).replace(" ", "")))
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{value!r} is not a number")
+    return _finite(complex(value.replace(" ", "") if isinstance(value, str) else value))
 
 
 def _point(value) -> complex:
     """A finite planar point 're,im' (also accepts a bare complex literal)."""
-    s = str(value)
-    if "," in s:
-        re_s, im_s = s.split(",")
-        return _finite(complex(float(re_s), float(im_s)))
-    return _complex(s)
+    if isinstance(value, str) and "," in value:
+        re_s, im_s = value.split(",")
+        return complex(_float(re_s), _float(im_s))
+    return _complex(value)
 
+
+def _bool(value) -> bool:
+    """true or false (on the command line, the bare flag)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def _list_of(read):
+    """Reader of a list, or of comma-separated text, each element read by ``read``."""
+
+    def read_all(value) -> tuple:
+        parts = value if isinstance(value, (list, tuple)) else [v for v in str(value).split(",") if v != ""]
+        return tuple(read(v) for v in parts)
+
+    return read_all
+
+
+_floats = _list_of(_float)
+_ints = _list_of(_int)
+
+
+def _choice(*names):
+    def read(value) -> str:
+        if value not in names:
+            raise ValueError(f"{value!r} is not one of {', '.join(names)}")
+        return value
+
+    return read
+
+
+# ---------------------------------------------------------------------------
+# the config schema
+# ---------------------------------------------------------------------------
 
 _REQUIRED = object()
 
 
-def _get(cfg: dict, key: str, kind, default=_REQUIRED):
-    """cfg[key] read by ``kind`` (one reader per value kind); a required key that
-    is missing, or a value ``kind`` cannot read, is a bad argument."""
-    value = cfg.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise CliArgumentError(f"missing required key {key!r}")
-        return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise CliArgumentError(f"cannot read {key!r} from {value!r}: {exc}") from exc
+class Key(NamedTuple):
+    read: Callable
+    default: object  # _REQUIRED when the key must be given
+    help: str
+
+
+# Every key with its reader, its usual default and its help line.
+_KEYS = {
+    "a": Key(_complex, _REQUIRED, "upper parameter a (complex literal, e.g. 0.7+0.1j)"),
+    "b": Key(_complex, _REQUIRED, "upper parameter b"),
+    "c": Key(_complex, _REQUIRED, "lower parameter c"),
+    "x": Key(_floats, _REQUIRED, "series arguments x_1,...,x_r"),
+    "r": Key(_int, _REQUIRED, "rank"),
+    "m": Key(_float, 2.0, "root multiplicity (Jack parameter 2/m)"),
+    "n": Key(_int, 2, "matrix size of the type I_{n,n} domain"),
+    "domain": Key(_choice("disk", "typeI"), "disk", "domain with a Poisson kernel"),
+    "lambda": Key(_complex, _REQUIRED, "spectral parameter (complex literal, e.g. 0.9+0.3j)"),
+    "nu": Key(_int, 0, "line-bundle twist"),
+    "t": Key(_floats, _REQUIRED, "radial coordinates t_1,...,t_r"),
+    "sig": Key(_ints, _REQUIRED, "signature m_1 >= ... >= m_n, e.g. 1,0"),
+    "z": Key(_point, 0j, "planar point re,im"),
+    "kmax": Key(_int, None, "truncation degree (None: chosen from the point)"),
+    "tol": Key(_float, 1e-12, "tail tolerance of the series' early stop"),
+    "xform": Key(_bool, False, "evaluate the Euler-transformed representation"),
+    "seed": Key(_int, DEFAULT_SEED, "seed of the random streams"),
+    "samples": Key(_int, 200_000, "Haar samples"),
+    "workers": Key(_int, 1, "worker threads (results do not depend on it)"),
+    "fd_step": Key(_float, 1e-3, "finite-difference step"),
+    "nodes": Key(_int, 512, "circle quadrature nodes"),
+    "trials": Key(_int, 100, "random group elements tried"),
+    "gate": Key(_float, 1e-5, "pass gate on the relative difference"),
+    "richardson": Key(_bool, False, "also gate the Richardson ratio of steps h and h/2 (3.5..4.5)"),
+    "kernel_gate": Key(_float, 1e-8, "gate on the kernel transformation residual"),
+    "cocycle_gate": Key(_float, 1e-10, "gate on the cocycle residual"),
+    "config": Key(str, _REQUIRED, "JSON file with an 'experiments' array"),
+}
+
+
+def _keys(names: str, own: dict | None = None) -> dict:
+    """The keys ``names`` of ``_KEYS``, then ``own``: a command default for one
+    of them, or a Key of the command's own."""
+    keys = {name: _KEYS[name] for name in names.split()}
+    for name, spec in (own or {}).items():
+        keys[name] = spec if isinstance(spec, Key) else _KEYS[name]._replace(default=spec)
+    return keys
+
+
+_SCHEMA = {
+    "eval-2f1": _keys("a b c m x kmax tol seed", {"kmax": 30}),
+    "eval-spherical": _keys("r m lambda nu t kmax tol xform seed"),
+    "check-hua-integral": _keys(
+        "domain n lambda nu t samples workers seed kmax tol gate", {"tol": 1e-13, "gate": 1e-8}
+    ),
+    "check-schur-det": _keys(
+        "n sig lambda samples workers seed",
+        {"t": Key(_float, _REQUIRED, "radial coordinate of z = tanh(t) I")},
+    ),
+    "check-pde": _keys("r m lambda nu t fd_step gate richardson seed"),
+    "check-x-system": _keys("r m lambda nu x fd_step seed"),
+    "check-casimir-disk": _keys("lambda z fd_step nodes gate seed"),
+    "check-covariance": _keys("n lambda nu trials kernel_gate cocycle_gate seed"),
+    "table": _keys(
+        "domain n lambda nu seed",
+        {"domain": Key(_choice(*DOMAIN_KINDS), None, "catalog entry (None: every kind)"), "lambda": None},
+    ),
+    "suite": _keys("config"),
+}
+
+
+def _resolve(command: str, raw: dict) -> dict:
+    """Every key of ``command`` read from ``raw`` or defaulted: the values the
+    runner uses and the report echoes.  A JSON null counts as not given."""
+    schema = _SCHEMA[command]
+    unknown = [name for name in raw if name not in schema]
+    if unknown:
+        raise InvalidArgumentError(f"{command} has no key {', '.join(map(repr, unknown))}")
+    cfg = {}
+    for name, key in schema.items():
+        value = raw.get(name)
+        if value is None:
+            if key.default is _REQUIRED:
+                raise InvalidArgumentError(f"missing required key {name!r}")
+            cfg[name] = key.default
+            continue
+        try:
+            cfg[name] = key.read(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidArgumentError(f"cannot read {name!r} from {value!r}: {exc}") from exc
+    return cfg
 
 
 def _spherical_params(cfg: dict) -> SphericalParams:
-    return SphericalParams(
-        lam=_get(cfg, "lambda", _complex),
-        nu=_get(cfg, "nu", int, 0),
-        multiplicity=_get(cfg, "m", float, 2.0),
-        rank=_get(cfg, "r", int),
-    )
+    return SphericalParams(lam=cfg["lambda"], nu=cfg["nu"], multiplicity=cfg["m"], rank=cfg["r"])
 
 
 def _jsonable(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.complexfloating,)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -173,113 +247,89 @@ def _flatten(prefix: str, obj, into: dict):
 
 def render_report(report: dict, output: str) -> str:
     report = _jsonable(report)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResultError(f"the report holds a non-finite value ({exc})") from exc
     if output == "json":
-        return json.dumps(report, indent=2)
+        return text
+    flat: dict = {}
+    _flatten("", report, flat)
     if output == "csv":
-        flat: dict = {}
-        _flatten("", report, flat)
         buf = io.StringIO()
         writer = _csv.writer(buf)
         writer.writerow(flat.keys())
         writer.writerow(flat.values())
         return buf.getvalue().rstrip("\n")
     if output == "text":
-        flat = {}
-        _flatten("", report, flat)
         width = max(len(k) for k in flat)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in flat.items())
-    raise CliArgumentError(f"unknown output format {output!r}")
+    raise InvalidArgumentError(f"unknown output format {output!r}")
 
 
-def _report(command: str, config: dict, body: dict, passed: bool | None, t0: float) -> dict:
-    out = {"command": command, "config": {**config, "version": __version__}}
-    out.update(body)
-    if passed is not None:
-        out["pass"] = bool(passed)
-    out["wall_time_s"] = round(time.perf_counter() - t0, 6)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# runners (dict config in, report + exit code out)
-# ---------------------------------------------------------------------------
-
-
-def run_eval_2f1(cfg: dict) -> tuple[dict, int]:
+def _execute(command: str, cfg: dict) -> tuple[dict, int]:
+    """The report of ``command`` run on resolved keys, which it echoes, and its exit code."""
     t0 = time.perf_counter()
+    body, passed, code = _RUNNERS[command](cfg)
+    report = {"command": command, "config": {**cfg, "version": __version__}, **body}
+    if passed is not None:
+        report["pass"] = bool(passed)
+    report["wall_time_s"] = round(time.perf_counter() - t0, 6)
+    return report, code
+
+
+# ---------------------------------------------------------------------------
+# runners (resolved config in; report body, pass/fail and exit code out)
+# ---------------------------------------------------------------------------
+
+
+def run_eval_2f1(cfg: dict) -> tuple[dict, bool | None, int]:
     params = HyperParams(
-        a=_get(cfg, "a", _complex),
-        b=_get(cfg, "b", _complex),
-        c=_get(cfg, "c", _complex),
-        multiplicity_m=_get(cfg, "m", float, 2.0),
-        k_max=_get(cfg, "kmax", int, 30),
-        tol=_get(cfg, "tol", float, 1e-12),
+        a=cfg["a"], b=cfg["b"], c=cfg["c"], multiplicity_m=cfg["m"], k_max=cfg["kmax"], tol=cfg["tol"]
     )
-    x = _get(cfg, "x", _floats)
-    res = hyp2f1_multi(params, x, collect_shells=True)
+    res = hyp2f1_multi(params, cfg["x"], collect_shells=True)
     body = {
         "lhs": {"value": res.value},
         "converged": res.converged,
         "truncation_degree": res.truncation_degree,
         "last_shell": res.last_shell,
     }
-    report = _report("eval-2f1", cfg, body, res.converged, t0)
-    return report, EXIT_PASS if res.converged else EXIT_NO_CONVERGENCE
+    return body, res.converged, EXIT_PASS if res.converged else EXIT_NO_CONVERGENCE
 
 
-def run_eval_spherical(cfg: dict) -> tuple[dict, int]:
-    t0 = time.perf_counter()
+def run_eval_spherical(cfg: dict) -> tuple[dict, bool | None, int]:
     sp = _spherical_params(cfg)
-    pt = RadialPoint(_get(cfg, "t", _floats))
-    kmax = _get(cfg, "kmax", int, None)
-    tol = _get(cfg, "tol", float, 1e-13)
-    use_xform = _get(cfg, "xform", bool, False)
-    val = (spherical_F_xform if use_xform else spherical_F)(sp, pt, k_max=kmax, tol=tol)
+    pt = RadialPoint(cfg["t"])
+    use_xform = cfg["xform"]
+    val = (spherical_F_xform if use_xform else spherical_F)(sp, pt, k_max=cfg["kmax"], tol=cfg["tol"])
     body = {"lhs": {"value": val}, "representation": "xform" if use_xform else "direct"}
-    return _report("eval-spherical", cfg, body, None, t0), EXIT_PASS
+    return body, None, EXIT_PASS
 
 
-def _domain_from_cfg(cfg: dict) -> DomainSpec:
-    kind = cfg.get("domain", "disk")
-    if kind == "disk":
-        return DomainSpec.disk()
-    if kind == "typeI":
-        return DomainSpec.type_i(_get(cfg, "n", int, 2))
-    raise InvalidArgumentError(f"kernel checks support domains disk|typeI, got {kind!r}")
-
-
-def run_check_hua_integral(cfg: dict) -> tuple[dict, int]:
-    t0 = time.perf_counter()
-    spec = _domain_from_cfg(cfg)
-    lam = _get(cfg, "lambda", _complex)
-    nu = _get(cfg, "nu", int, 0)
-    t = _get(cfg, "t", _floats)
+def run_check_hua_integral(cfg: dict) -> tuple[dict, bool | None, int]:
+    spec = DomainSpec.of(cfg["domain"], cfg["n"])
+    lam, nu, t = cfg["lambda"], cfg["nu"], cfg["t"]
     if len(t) != spec.rank:
         raise InvalidArgumentError(f"need {spec.rank} torus coordinates, got {len(t)}")
-    seed = _get(cfg, "seed", int, DEFAULT_SEED)
-    samples = _get(cfg, "samples", int, 200_000)
-    workers = _get(cfg, "workers", int, 1)
-    gate = _get(cfg, "gate", float, 1e-8)
-    kmax = _get(cfg, "kmax", int, None)
     params = LineBundleParams(lam=lam, nu=nu)
     sp = SphericalParams(lam=lam, nu=nu, multiplicity=spec.multiplicity, rank=spec.rank)
-    rhs = hua_integral_rhs(sp, RadialPoint(t), k_max=kmax, tol=_get(cfg, "tol", float, 1e-13))
+    rhs = hua_integral_rhs(sp, RadialPoint(t), k_max=cfg["kmax"], tol=cfg["tol"])
     z = np.diag([math.tanh(v) for v in t]).astype(complex)
     one = BoundaryFunction(fn=lambda u: 1.0, tag="1", batch=lambda us: np.ones(us.shape[0]))
-    est = poisson_transform(spec, params, one, z, samples, seed, workers=workers)
+    est = poisson_transform(spec, params, one, z, cfg["samples"], cfg["seed"], workers=cfg["workers"])
     body: dict = {"lhs": {"mean": est.mean, "stderr": est.stderr, "samples": est.samples}, "rhs": rhs}
     if spec.kind == "disk":
         diff = abs(est.mean - rhs)
         rel = diff / max(1.0, abs(rhs))
         body["rel_diff"] = rel
         body["abs_diff"] = diff
-        passed = rel <= gate
+        passed = rel <= cfg["gate"]
     else:
         z_score = est.z_score(rhs)
         body["z_score"] = z_score
         body["abs_diff"] = abs(est.mean - rhs)
         passed = z_score <= 4.0
-    return _report("check-hua-integral", cfg, body, passed, t0), EXIT_PASS if passed else EXIT_FAIL
+    return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
 def schur_det_integrands(n: int, lam: complex, t: float, sig: SignatureM):
@@ -309,26 +359,18 @@ def schur_det_integrands(n: int, lam: complex, t: float, sig: SignatureM):
     return batch
 
 
-def run_check_schur_det(cfg: dict) -> tuple[dict, int]:
-    t0 = time.perf_counter()
-    n = _get(cfg, "n", int, 2)
-    sig = SignatureM(_get(cfg, "sig", _ints))
+def run_check_schur_det(cfg: dict) -> tuple[dict, bool | None, int]:
+    n, lam, t = cfg["n"], cfg["lambda"], cfg["t"]
+    sig = SignatureM(cfg["sig"])
     if sig.n != n:
         raise InvalidArgumentError(f"signature length {sig.n} must equal n={n}")
-    lam = _get(cfg, "lambda", _complex)
-    t = _get(cfg, "t", float)
-    seed = _get(cfg, "seed", int, DEFAULT_SEED)
-    samples = _get(cfg, "samples", int, 200_000)
-    workers = _get(cfg, "workers", int, 1)
     rhs = det_formula_rhs(lam, sig, t)
-    ests = mc_integrate_vector(schur_det_integrands(n, lam, t, sig), n, samples, seed, workers=workers)
+    ests = mc_integrate_vector(
+        schur_det_integrands(n, lam, t, sig), n, cfg["samples"], cfg["seed"], workers=cfg["workers"]
+    )
     z_sq = ests[0].z_score(rhs)
     z_single = ests[1].z_score(rhs)
-    matching = []
-    if z_sq <= 4.0:
-        matching.append("h_squared")
-    if z_single <= 4.0:
-        matching.append("h_single")
+    matching = [name for name, z in (("h_squared", z_sq), ("h_single", z_single)) if z <= 4.0]
     body = {
         "rhs": rhs,
         "variants": {
@@ -338,16 +380,13 @@ def run_check_schur_det(cfg: dict) -> tuple[dict, int]:
         "matching_variant": matching[0] if len(matching) == 1 else matching,
     }
     passed = len(matching) == 1
-    return _report("check-schur-det", cfg, body, passed, t0), EXIT_PASS if passed else EXIT_FAIL
+    return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
-def run_check_pde(cfg: dict) -> tuple[dict, int]:
-    t0 = time.perf_counter()
+def run_check_pde(cfg: dict) -> tuple[dict, bool | None, int]:
     sp = _spherical_params(cfg)
-    t = _get(cfg, "t", _floats)
-    h = _get(cfg, "fd_step", float, 1e-3)
-    gate = _get(cfg, "gate", float, 1e-5)
-    pt = RadialPoint(t)
+    h = cfg["fd_step"]
+    pt = RadialPoint(cfg["t"])
     rep = radial_residual_report(sp, pt, h)
     body: dict = {
         "lhs": {"max_residual": float(np.max(np.abs(rep.residuals)))},
@@ -355,66 +394,51 @@ def run_check_pde(cfg: dict) -> tuple[dict, int]:
         "rel_diff": rep.relative,
         "phi": rep.phi_value,
     }
-    passed = rep.relative <= gate
-    if _get(cfg, "richardson", bool, False):
+    passed = rep.relative <= cfg["gate"]
+    if cfg["richardson"]:
         rep_half = radial_residual_report(sp, pt, h / 2.0)
         denom = float(np.max(np.abs(rep_half.residuals)))
         ratio = float(np.max(np.abs(rep.residuals))) / denom if denom > 0 else float("inf")
         body["richardson_ratio"] = ratio
         passed = passed and 3.5 <= ratio <= 4.5
-    return _report("check-pde", cfg, body, passed, t0), EXIT_PASS if passed else EXIT_FAIL
+    return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
-def run_check_x_system(cfg: dict) -> tuple[dict, int]:
-    t0 = time.perf_counter()
+def run_check_x_system(cfg: dict) -> tuple[dict, bool | None, int]:
     sp = _spherical_params(cfg)
-    x = _get(cfg, "x", _floats)
-    h = _get(cfg, "fd_step", float, 1e-3)
-    res = x_system_residual(sp, x, h)
+    res = x_system_residual(sp, cfg["x"], cfg["fd_step"])
     body = {
         "lhs": {"max_residual": float(np.max(np.abs(res)))},
         "rhs": None,
         "gated": False,
         "note": "diagnostic only; the residual is reported, not gated",
     }
-    return _report("check-x-system", cfg, body, True, t0), EXIT_PASS
+    return body, True, EXIT_PASS
 
 
-def run_check_casimir_disk(cfg: dict) -> tuple[dict, int]:
-    t0 = time.perf_counter()
-    lam = _get(cfg, "lambda", _complex)
-    z = _get(cfg, "z", _point, 0j)
-    h = _get(cfg, "fd_step", float, 1e-3)
-    nodes = _get(cfg, "nodes", int, 512)
-    gate = _get(cfg, "gate", float, 1e-5)
-    res = disk_casimir_residual(lam, z, h, nodes=nodes)
+def run_check_casimir_disk(cfg: dict) -> tuple[dict, bool | None, int]:
+    lam, z, nodes = cfg["lambda"], cfg["z"], cfg["nodes"]
+    res = disk_casimir_residual(lam, z, cfg["fd_step"], nodes=nodes)
     p0 = disk_poisson_value(lam, z, nodes)
     eig = (lam**2 - 1.0) / 4.0
     rel = abs(res) / (max(1.0, abs(eig)) * abs(p0))
-    passed = rel <= gate
+    passed = rel <= cfg["gate"]
     body = {
         "lhs": {"value": res + eig * p0},
         "rhs": eig * p0,
         "rel_diff": rel,
         "poisson_value": p0,
     }
-    return _report("check-casimir-disk", cfg, body, passed, t0), EXIT_PASS if passed else EXIT_FAIL
+    return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
-def run_check_covariance(cfg: dict) -> tuple[dict, int]:
-    t0 = time.perf_counter()
-    n = _get(cfg, "n", int, 2)
-    lam = _get(cfg, "lambda", _complex)
-    nu = _get(cfg, "nu", int, 0)
-    trials = _get(cfg, "trials", int, 100)
-    seed = _get(cfg, "seed", int, DEFAULT_SEED)
-    kernel_gate = _get(cfg, "kernel_gate", float, 1e-8)
-    cocycle_gate = _get(cfg, "cocycle_gate", float, 1e-10)
+def run_check_covariance(cfg: dict) -> tuple[dict, bool | None, int]:
+    n, trials = cfg["n"], cfg["trials"]
+    kernel_gate, cocycle_gate = cfg["kernel_gate"], cfg["cocycle_gate"]
     spec = DomainSpec.type_i(n)
-    params = LineBundleParams(lam=lam, nu=nu)
-    rng = philox_generator(seed, 0xC0C1)
-    worst_kernel = 0.0
-    worst_cocycle = 0.0
+    params = LineBundleParams(lam=cfg["lambda"], nu=cfg["nu"])
+    rng = philox_generator(cfg["seed"], 0xC0C1)
+    worst_kernel = worst_cocycle = 0.0
     for _ in range(trials):
         g = random_group_element(n, rng)
         g2 = random_group_element(n, rng)
@@ -429,55 +453,54 @@ def run_check_covariance(cfg: dict) -> tuple[dict, int]:
         "rhs": {"kernel_gate": kernel_gate, "cocycle_gate": cocycle_gate},
         "trials": trials,
     }
-    return _report("check-covariance", cfg, body, passed, t0), EXIT_PASS if passed else EXIT_FAIL
+    return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
-def run_table(cfg: dict) -> tuple[dict, int]:
-    t0 = time.perf_counter()
-    kinds = [cfg["domain"]] if cfg.get("domain") else ["disk", "typeI", "typeII", "typeIII", "typeIV", "e7"]
-    n = _get(cfg, "n", int, 2)
+def run_table(cfg: dict) -> tuple[dict, bool | None, int]:
+    n = cfg["n"]
     rows = []
-    for kind in kinds:
+    for kind in [cfg["domain"]] if cfg["domain"] else DOMAIN_KINDS:
         rec = catalog_record(kind, n)
-        if cfg.get("lambda") is not None:
+        if cfg["lambda"] is not None:
             spec = DomainSpec.of(kind, n)
-            params = LineBundleParams(lam=_get(cfg, "lambda", _complex), nu=_get(cfg, "nu", int, 0))
+            params = LineBundleParams(lam=cfg["lambda"], nu=cfg["nu"])
             rec["hua_eigenvalue"] = hua_eigenvalue(spec, params)
             rec["casimir_eigenvalue"] = casimir_eigenvalue(spec, params)
         rows.append(rec)
-    return _report("table", cfg, {"rows": rows}, None, t0), EXIT_PASS
+    return {"rows": rows}, None, EXIT_PASS
 
 
-def run_suite(cfg: dict) -> tuple[dict, int]:
-    t0 = time.perf_counter()
-    path = _get(cfg, "config", str)
+def run_suite(cfg: dict) -> tuple[dict, bool | None, int]:
+    path = cfg["config"]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise CliArgumentError(f"suite: cannot read config {path!r}: {exc}") from exc
+        raise InvalidArgumentError(f"suite: cannot read config {path!r}: {exc}") from exc
     experiments = doc.get("experiments", []) if isinstance(doc, dict) else None
     if not isinstance(experiments, list):
-        raise CliArgumentError(f"suite: {path!r} must be a JSON object with an 'experiments' list")
-    reports = []
-    worst = EXIT_PASS
+        raise InvalidArgumentError(f"suite: {path!r} must be a JSON object with an 'experiments' list")
+    runs = []
     for i, exp in enumerate(experiments):
         if not isinstance(exp, dict):
-            raise CliArgumentError(f"suite experiment {i} must be a JSON object, got {exp!r}")
-        command = exp.get("command")
-        runner = _RUNNERS.get(command)
-        if runner is None or command == "suite":
+            raise InvalidArgumentError(f"suite experiment {i} must be a JSON object, got {exp!r}")
+        raw = dict(exp)
+        command = raw.pop("command", None)
+        if not isinstance(command, str) or command not in _SCHEMA or command == "suite":
             raise InvalidArgumentError(f"suite: unknown command {command!r}")
-        sub_cfg = {k: v for k, v in exp.items() if k != "command"}
         try:
-            report, code = runner(sub_cfg)
-        except CliArgumentError as exc:
-            raise CliArgumentError(f"suite experiment {i} ({command}): {exc}") from exc
+            runs.append((command, _resolve(command, raw)))
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"suite experiment {i} ({command}): {exc}") from exc
+    reports = []
+    worst = EXIT_PASS
+    for command, sub_cfg in runs:
+        report, code = _execute(command, sub_cfg)
         reports.append(report)
         worst = max(worst, code)
     passed = worst == EXIT_PASS
     body = {"experiments": reports, "n_experiments": len(reports)}
-    return _report("suite", {"config_path": path}, body, passed, t0), worst
+    return body, passed, worst
 
 
 _RUNNERS = {
@@ -498,126 +521,47 @@ _RUNNERS = {
 # argument wiring
 # ---------------------------------------------------------------------------
 
+# The exit code of each exception class a run may raise; the first class that matches wins, so the
+# singular kernel and action (arithmetic errors) are bad arguments, and any other arithmetic error
+# (overflow, division by zero, a non-finite result) means there is no answer.
+_EXIT_CODES = {
+    **dict.fromkeys((InvalidArgumentError, DomainError, ParameterError, GeometryError, SingularKernelError,
+                     SingularActionError), EXIT_BAD_ARGS),
+    **dict.fromkeys((ConvergenceError, ArithmeticError, NonFiniteSampleError, NumericalError), EXIT_NO_CONVERGENCE),
+}
+
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--samples", type=int, default=200_000)
-    common.add_argument("--kmax", type=int, default=None)
-    common.add_argument("--tol", type=float, default=1e-12)
-    common.add_argument("--fd-step", dest="fd_step", type=float, default=1e-3)
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--output", choices=["json", "csv", "text"], default="json")
-    common.add_argument("--out", type=str, default=None, help="also write the report to this path")
-
+    """One subcommand per schema entry; only the flags given reach the config."""
+    io_flags = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    io_flags.add_argument("--output", choices=["json", "csv", "text"], help="report format (default: json)")
+    io_flags.add_argument("--out", help="also write the report to this path")
     parser = _Parser(prog="tubekernels", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval-2f1", parents=[common])
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--x", required=True)
-
-    p = sub.add_parser("eval-spherical", parents=[common])
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--nu", type=int, default=0)
-    p.add_argument("--t", required=True)
-    p.add_argument("--xform", action="store_true")
-
-    p = sub.add_parser("check-hua-integral", parents=[common])
-    p.add_argument("--domain", choices=["disk", "typeI"], default="disk")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--nu", type=int, default=0)
-    p.add_argument("--t", required=True)
-    p.add_argument("--gate", type=float, default=1e-8)
-
-    p = sub.add_parser("check-schur-det", parents=[common])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--sig", required=True, help="signature, e.g. 1,0")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--t", type=float, required=True)
-
-    p = sub.add_parser("check-pde", parents=[common])
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--nu", type=int, default=0)
-    p.add_argument("--t", required=True)
-    p.add_argument("--gate", type=float, default=1e-5)
-    p.add_argument("--richardson", action="store_true")
-
-    p = sub.add_parser("check-x-system", parents=[common])
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--nu", type=int, default=0)
-    p.add_argument("--x", required=True)
-
-    p = sub.add_parser("check-casimir-disk", parents=[common])
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--z", default="0,0", help="planar point re,im")
-    p.add_argument("--nodes", type=int, default=512)
-    p.add_argument("--gate", type=float, default=1e-5)
-
-    p = sub.add_parser("check-covariance", parents=[common])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--nu", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--kernel-gate", dest="kernel_gate", type=float, default=1e-8)
-    p.add_argument("--cocycle-gate", dest="cocycle_gate", type=float, default=1e-10)
-
-    p = sub.add_parser("table", parents=[common])
-    p.add_argument("--domain", choices=["disk", "typeI", "typeII", "typeIII", "typeIV", "e7"], default=None)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--nu", type=int, default=0)
-
-    p = sub.add_parser("suite", parents=[common])
-    p.add_argument("--config", required=True, help="JSON file with an 'experiments' array")
-
+    for command, keys in _SCHEMA.items():
+        p = sub.add_parser(command, parents=[io_flags], argument_default=argparse.SUPPRESS)
+        for name, key in keys.items():
+            shown = "required" if key.default is _REQUIRED else f"default: {key.default}"
+            action = "store_true" if key.read is _bool else "store"
+            p.add_argument("--" + name.replace("_", "-"), dest=name, action=action, help=f"{key.help} ({shown})")
     return parser
 
 
-def _cfg_from_args(args: argparse.Namespace) -> dict:
-    cfg = {}
-    for key, value in vars(args).items():
-        if key in ("command", "output", "out") or value is None:
-            continue
-        cfg["lambda" if key == "lam" else key] = value
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        runner = _RUNNERS[args.command]
-        report, code = runner(_cfg_from_args(args))
-        rendered = render_report(report, args.output)
+        args = vars(_build_parser().parse_args(argv))
+        command, output, out = args.pop("command"), args.pop("output", "json"), args.pop("out", None)
+        report, code = _execute(command, _resolve(command, args))
+        rendered = render_report(report, output)
         print(rendered)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(rendered + "\n")
         return code
-    except CliArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except (InvalidArgumentError, DomainError, ParameterError, GeometryError,
-            SingularKernelError, SingularActionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (NumericalError, NonFiniteSampleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except tuple(_EXIT_CODES) as exc:
+        detail = f"{type(exc).__name__}: {exc}" if type(exc).__module__ == "builtins" else exc
+        print(f"error: {detail}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -35,6 +35,10 @@ class GeometryError(ValueError):
     """A finite-difference stencil sits too close to the singular set."""
 
 
+class NonFiniteResultError(ArithmeticError):
+    """A result to be reported is NaN or inf, so there is no answer to give."""
+
+
 class NumericalError(RuntimeError):
     """A computed quantity that must be exact is not (e.g. a non-integral Weyl dimension)."""
 

@@ -88,8 +88,7 @@ class JackParameter:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise InvalidArgumentError(f"Jack parameter must be positive, got {self.alpha}")
+        _alpha_value(self.alpha)
 
     @classmethod
     def from_multiplicity(cls, m: float) -> "JackParameter":
@@ -102,8 +101,8 @@ def _alpha_value(alpha) -> float:
     if isinstance(alpha, JackParameter):
         return alpha.alpha
     a = float(alpha)
-    if not a > 0:
-        raise InvalidArgumentError(f"Jack parameter must be positive, got {alpha}")
+    if not 0 < a < math.inf:
+        raise InvalidArgumentError(f"Jack parameter must be positive and finite, got {alpha}")
     return a
 
 

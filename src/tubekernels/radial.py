@@ -185,6 +185,11 @@ def _phi(sp: SphericalParams, t: tuple[float, ...], k_max: int) -> complex:
     return pref * spherical_F(sp, RadialPoint(t), k_max=k_max, early_stop=False)
 
 
+def _check_step(h: float):
+    if not h > 0:
+        raise InvalidArgumentError(f"the finite-difference step must be positive, got {h}")
+
+
 def _central_differences(fn, point: tuple[float, ...], h: float):
     """fn at point, and its central first and second differences along each coordinate."""
     f0 = fn(point)
@@ -222,6 +227,7 @@ def hua_radial_residual(
 
 def _radial_residual(sp: SphericalParams, pt: RadialPoint, h: float, k_max: int | None):
     """The residual vector of :func:`hua_radial_residual` and phi at the point."""
+    _check_step(h)
     t = pt.t
     r = sp.rank
     if len(t) != r:
@@ -289,6 +295,7 @@ def x_system_residual(
     Diagnostic companion to :func:`hua_radial_residual`; requires x_k < 0,
     pairwise separated by at least 10h.
     """
+    _check_step(h)
     xs = tuple(float(v) for v in x)
     r = sp.rank
     if len(xs) != r:
@@ -339,6 +346,7 @@ def disk_casimir_residual(lam: complex, z: complex, h: float = 1e-3, *, nodes: i
     ((lam^2 - 1)/4) * P(z).
     """
     zc = complex(z)
+    _check_step(h)
     if abs(zc) + 2.0 * h >= 1.0:
         raise InvalidArgumentError("need |z| + 2h < 1")
     p0 = disk_poisson_value(lam, zc, nodes)

@@ -287,7 +287,7 @@ def run_eval_2f1(cfg: dict) -> tuple[dict, bool | None, int]:
     params = HyperParams(
         a=cfg["a"], b=cfg["b"], c=cfg["c"], multiplicity_m=cfg["m"], k_max=cfg["kmax"], tol=cfg["tol"]
     )
-    res = hyp2f1_multi(params, cfg["x"], collect_shells=True)
+    res = hyp2f1_multi(params, cfg["x"])
     body = {
         "lhs": {"value": res.value},
         "converged": res.converged,
@@ -311,12 +311,11 @@ def run_check_hua_integral(cfg: dict) -> tuple[dict, bool | None, int]:
     lam, nu, t = cfg["lambda"], cfg["nu"], cfg["t"]
     if len(t) != spec.rank:
         raise InvalidArgumentError(f"need {spec.rank} torus coordinates, got {len(t)}")
-    params = LineBundleParams(lam=lam, nu=nu)
     sp = SphericalParams(lam=lam, nu=nu, multiplicity=spec.multiplicity, rank=spec.rank)
     rhs = hua_integral_rhs(sp, RadialPoint(t), k_max=cfg["kmax"], tol=cfg["tol"])
     z = np.diag([math.tanh(v) for v in t]).astype(complex)
     one = BoundaryFunction(fn=lambda u: 1.0, tag="1", batch=lambda us: np.ones(us.shape[0]))
-    est = poisson_transform(spec, params, one, z, cfg["samples"], cfg["seed"], workers=cfg["workers"])
+    est = poisson_transform(spec, sp, one, z, cfg["samples"], cfg["seed"], workers=cfg["workers"])
     body: dict = {"lhs": {"mean": est.mean, "stderr": est.stderr, "samples": est.samples}, "rhs": rhs}
     if spec.kind == "disk":
         diff = abs(est.mean - rhs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, InvalidArgumentError, ParameterError
+from .errors import ConvergenceError, DomainError, InvalidArgumentError, NonFiniteResultError, ParameterError
 from .partitions import _finite_point, _partition_tuples, jack_C_all
 
 __all__ = [
@@ -157,7 +157,8 @@ def hyp2f1_classical(a, b, c, x, *, tail_tol: float = 1e-14, max_terms: int = 20
 
     Truncates once two consecutive terms drop below tail_tol * max(1, |sum|);
     terminating series (a or b a nonpositive integer) stop exactly.  A
-    nonpositive-integer c reached before termination is a parameter error.
+    nonpositive-integer c reached before termination is a parameter error, and
+    the first non-finite term ends the sum with NonFiniteResultError.
     """
     x = float(x)
     if abs(x) >= 1.0:
@@ -171,6 +172,8 @@ def hyp2f1_classical(a, b, c, x, *, tail_tol: float = 1e-14, max_terms: int = 20
         if abs(den) < _POLE_TOL:
             raise ParameterError(f"c={c} is a nonpositive integer reached at term {k}")
         term = term * (a + k) * (b + k) / (den * (k + 1)) * x
+        if not cmath.isfinite(term):
+            raise NonFiniteResultError(f"classical series term {k + 1} is non-finite ({term})")
         if term == 0.0:
             return total
         total += term

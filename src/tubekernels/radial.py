@@ -1,5 +1,11 @@
 """Closed-form spherical functions and finite-difference residuals of the radial systems.
 
+Every value comes from one series, 2F1^(m)((lam+eta-nu)/2, b; eta; x) in
+``_spherical_series``, run to a given degree or to the one where max|x|^k falls
+below 1e-17, capped where the Jack tables stop (200; 100 at rank >= 3).  A
+series unconverged at its degree raises ConvergenceError (naming the degree and
+the last shell), a non-finite one NonFiniteResultError: there is no bare value.
+
 The eigenvalue constant used for the t-coordinate system is
 
     lam^2 - (eta - nu)^2        (see ``radial_eigenvalue``),
@@ -9,9 +15,9 @@ the printed operator; it is also exactly what the x-coordinate form of the
 system (whose constant is ((eta - nu)^2 - lam^2)/4) transforms into under
 x_j = -sinh^2 t_j.  Both reductions are covered by tests.
 
-Finite differencing is central second order.  Residual evaluations run the
-series to a fixed degree (no early stop), so the truncation tail is a smooth
-function of the evaluation point and cancels in the differences.
+Both systems share one central second-order stencil, ``_fd_residual``.  Its
+series run to one degree, chosen at the worst stencil point (no early stop), so
+the truncation tail is a smooth function of the point and cancels in the differences.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import DomainSpec, LineBundleParams, _eta_of
-from .errors import DomainError, GeometryError, InvalidArgumentError
+from .errors import ConvergenceError, DomainError, GeometryError, InvalidArgumentError, NonFiniteResultError
 from .hypergeom import HyperParams, hyp2f1_multi
+from .partitions import _MAX_WEIGHT, _MAX_WEIGHT_GENERAL, _finite_point
 from .shilov import BoundaryFunction, poisson_transform
 from .shilov import circle_quadrature  # noqa: F401  (perfbench/tracing.py wraps radial.circle_quadrature)
 
@@ -46,22 +53,18 @@ _T_BOUND = 3.0
 
 
 @dataclass(frozen=True)
-class SphericalParams:
-    """Spectral parameter, bundle twist, and the domain's (m, r) pair."""
+class SphericalParams(LineBundleParams):
+    """A line bundle's (lam, nu) and the domain's (m, r) pair."""
 
-    lam: complex
-    nu: int
     multiplicity: float
     rank: int
 
     def __post_init__(self):
+        super().__post_init__()
         if self.rank < 1:
             raise InvalidArgumentError(f"rank must be >= 1, got {self.rank}")
         if not self.multiplicity > 0:
             raise InvalidArgumentError(f"multiplicity must be positive, got {self.multiplicity}")
-        if int(self.nu) != self.nu:
-            raise InvalidArgumentError(f"nu must be an integer, got {self.nu}")
-        object.__setattr__(self, "nu", int(self.nu))
 
     @property
     def eta(self) -> float:
@@ -90,60 +93,61 @@ def radial_eigenvalue(sp: SphericalParams) -> complex:
     return sp.lam**2 - (sp.eta - sp.nu) ** 2
 
 
-def _auto_kmax(max_abs_x: float, requested: int | None) -> int:
-    if requested is not None:
-        return requested
+def _auto_kmax(max_abs_x: float, rank: int) -> int:
+    """The degree at which max|x|^k falls below 1e-17, plus 10 and at least 40, within the Jack tables' cap."""
     if max_abs_x < 1e-12:
         return 8
-    # geometric tail max_abs_x^k below 1e-17, clamped to a sane range
     est = int(math.ceil(math.log(1e-17) / math.log(max_abs_x))) + 10
-    return min(max(est, 40), 180)
+    return min(max(est, 40), _MAX_WEIGHT if rank < 3 else _MAX_WEIGHT_GENERAL)
 
 
 def _spherical_series(
     sp: SphericalParams, b: complex, x: tuple[float, ...], k_max: int | None, tol: float, early_stop: bool
 ) -> complex:
-    """2F1^(m)((lam+eta-nu)/2, b; eta; x), the series both representations share."""
-    params = HyperParams(
-        a=(sp.lam + sp.eta - sp.nu) / 2.0,
-        b=b,
-        c=sp.eta,
-        multiplicity_m=sp.multiplicity,
-        k_max=_auto_kmax(max(abs(v) for v in x), k_max),
-        tol=tol,
-    )
-    return hyp2f1_multi(params, x, early_stop=early_stop).value
+    """2F1^(m)((lam+eta-nu)/2, b; eta; x), the series both representations share.
+
+    k_max None picks the degree from max|x|.  A non-finite or unconverged series
+    gives no value: it raises NonFiniteResultError or ConvergenceError.
+    """
+    if len(x) != sp.rank:
+        raise InvalidArgumentError(f"point has rank {len(x)}, params have rank {sp.rank}")
+    k_max = _auto_kmax(max(abs(v) for v in x), sp.rank) if k_max is None else k_max
+    params = HyperParams(a=(sp.lam + sp.eta - sp.nu) / 2.0, b=b, c=sp.eta, multiplicity_m=sp.multiplicity,
+                         k_max=k_max, tol=tol)
+    res = hyp2f1_multi(params, x, early_stop=early_stop)
+    if not cmath.isfinite(res.value):
+        raise NonFiniteResultError(f"the spherical series is non-finite at x = {x}")
+    if not res.converged:
+        raise ConvergenceError(
+            f"the spherical series did not converge by degree {res.truncation_degree} at x = {x}: "
+            f"last shell {res.last_shell:.3g} > tol {tol:g} * max(1, |value|)"
+        )
+    return res.value
 
 
-def spherical_F(
-    sp: SphericalParams,
-    pt: RadialPoint,
-    *,
-    k_max: int | None = None,
-    tol: float = 1e-13,
-    early_stop: bool = True,
-) -> complex:
+def _cosh_power(t: tuple[float, ...], p: int) -> float:
+    """prod_j cosh(t_j)^p, multiplied in coordinate order."""
+    pref = 1.0
+    for v in t:
+        pref *= math.cosh(v) ** p
+    return pref
+
+
+def spherical_F(sp: SphericalParams, pt: RadialPoint, *, k_max: int | None = None, tol: float = 1e-13,
+                early_stop: bool = True) -> complex:
     """Closed-form spherical function on the flat torus coordinates.
 
     prod_j (1 - tanh^2 t_j)^((lam+eta)/2)
     * 2F1^(m)((lam+eta-nu)/2, (lam+eta+nu)/2; eta; tanh^2 t_1, ..., tanh^2 t_r).
     """
-    if len(pt.t) != sp.rank:
-        raise InvalidArgumentError(f"point has rank {len(pt.t)}, params have rank {sp.rank}")
     x = tuple(math.tanh(v) ** 2 for v in pt.t)
     series = _spherical_series(sp, (sp.lam + sp.eta + sp.nu) / 2.0, x, k_max, tol, early_stop)
     pref = cmath.exp(((sp.lam + sp.eta) / 2.0) * sum(math.log1p(-xi) for xi in x))
     return pref * series
 
 
-def spherical_F_xform(
-    sp: SphericalParams,
-    pt: RadialPoint,
-    *,
-    k_max: int | None = None,
-    tol: float = 1e-13,
-    early_stop: bool = True,
-) -> complex:
+def spherical_F_xform(sp: SphericalParams, pt: RadialPoint, *, k_max: int | None = None, tol: float = 1e-13,
+                      early_stop: bool = True) -> complex:
     """The alternative representation of the same function:
 
     prod_j (cosh t_j)^(-nu)
@@ -152,21 +156,14 @@ def spherical_F_xform(
     Swapping lam -> -lam leaves this form fixed term by term; its agreement
     with :func:`spherical_F` is the Euler-transformation bridge.
     """
-    if len(pt.t) != sp.rank:
-        raise InvalidArgumentError(f"point has rank {len(pt.t)}, params have rank {sp.rank}")
     x = tuple(-math.sinh(v) ** 2 for v in pt.t)
     if max(abs(v) for v in x) >= 1.0:
         raise DomainError(f"-sinh^2 t leaves the unit polydisk at {pt.t}; use spherical_F")
-    series = _spherical_series(sp, (-sp.lam + sp.eta - sp.nu) / 2.0, x, k_max, tol, early_stop)
-    pref = 1.0
-    for v in pt.t:
-        pref *= math.cosh(v) ** (-sp.nu)
-    return pref * series
+    b = (-sp.lam + sp.eta - sp.nu) / 2.0
+    return _cosh_power(pt.t, -sp.nu) * _spherical_series(sp, b, x, k_max, tol, early_stop)
 
 
-def hua_integral_rhs(
-    sp: SphericalParams, pt: RadialPoint, *, k_max: int | None = None, tol: float = 1e-13
-) -> complex:
+def hua_integral_rhs(sp: SphericalParams, pt: RadialPoint, *, k_max: int | None = None, tol: float = 1e-13) -> complex:
     """Closed form of the Shilov-boundary integral at z = diag(tanh t).
 
     h(z,z)^((lam+eta-nu)/2) * 2F1^(m)((lam+eta-nu)/2, (lam+eta+nu)/2; eta; tanh^2 t),
@@ -178,86 +175,47 @@ def hua_integral_rhs(
     return val
 
 
-def _phi(sp: SphericalParams, t: tuple[float, ...], k_max: int) -> complex:
-    pref = 1.0
-    for v in t:
-        pref *= math.cosh(v) ** sp.nu
-    return pref * spherical_F(sp, RadialPoint(t), k_max=k_max, early_stop=False)
-
-
 def _check_step(h: float):
     if not h > 0:
         raise InvalidArgumentError(f"the finite-difference step must be positive, got {h}")
 
 
-def _central_differences(fn, point: tuple[float, ...], h: float):
-    """fn at point, and its central first and second differences along each coordinate."""
-    f0 = fn(point)
-    d1 = np.empty(len(point), dtype=complex)
-    d2 = np.empty(len(point), dtype=complex)
-    for k in range(len(point)):
-        plus = list(point)
-        minus = list(point)
-        plus[k] += h
-        minus[k] -= h
-        fp = fn(tuple(plus))
-        fm = fn(tuple(minus))
-        d1[k] = (fp - fm) / (2.0 * h)
-        d2[k] = (fp - 2.0 * f0 + fm) / h**2
-    return f0, d1, d2
+def _fd_residual(sp: SphericalParams, point: tuple[float, ...], h: float, k_max: int | None, *,
+                 wall, apart, x_of, fn, row):
+    """Residual vector of a radial system by central differences, and fn at the point.
 
-
-def hua_radial_residual(
-    sp: SphericalParams, pt: RadialPoint, h: float = 1e-3, *, k_max: int | None = None
-) -> np.ndarray:
-    """Finite-difference residual vector of the radial system at phi = prod cosh^nu * F.
-
-    Component k is
-
-        phi_kk + 2 coth(2 t_k) phi_k - 2 nu tanh(t_k) phi_k
-        + (m/2) sum_{j != k} [sinh(2t_j) phi_j - sinh(2t_k) phi_k]
-                              / (sinh^2 t_j - sinh^2 t_k)
-        - (lam^2 - (eta - nu)^2) phi.
-
-    The stencil must stay off the singular set: |t_k| >= 10h and
-    |sinh^2 t_j - sinh^2 t_k| >= 10h for j != k.
+    The stencil of both systems.  It checks the step, the rank, the system's
+    one-sided guard (``wall()`` is the GeometryError message once the stencil
+    reaches the singular wall, else None) and that the coordinates ``apart`` =
+    (name, values) stay 10h apart pairwise.  Then it evaluates ``fn(p, k_max)``
+    at the point and at p +- h e_k, all at one degree: k_max, or the automatic
+    degree of the worst stencil point, whose largest |x| is x_of(max_k |p_k| + h).
+    Component k of the residual is ``row(k, f0, d1, d2)``.
     """
-    return _radial_residual(sp, pt, h, k_max)[0]
-
-
-def _radial_residual(sp: SphericalParams, pt: RadialPoint, h: float, k_max: int | None):
-    """The residual vector of :func:`hua_radial_residual` and phi at the point."""
     _check_step(h)
-    t = pt.t
     r = sp.rank
-    if len(t) != r:
-        raise InvalidArgumentError(f"point has rank {len(t)}, params have rank {r}")
-    if min(abs(v) for v in t) < 10.0 * h:
-        raise GeometryError(f"|t_k| < 10h at {t}: too close to the coth singularity")
-    sh2 = [math.sinh(v) ** 2 for v in t]
+    if len(point) != r:
+        raise InvalidArgumentError(f"point has rank {len(point)}, params have rank {r}")
+    if (message := wall()) is not None:
+        raise GeometryError(message)
+    name, coords = apart
     for j in range(r):
         for k in range(j + 1, r):
-            if abs(sh2[j] - sh2[k]) < 10.0 * h:
-                raise GeometryError(f"sinh^2 separation below 10h between t_{j} and t_{k}")
+            if abs(coords[j] - coords[k]) < 10.0 * h:
+                raise GeometryError(f"{name} separation below 10h between coordinates {j} and {k}")
     if k_max is None:
-        worst = math.tanh(max(abs(v) for v in t) + h) ** 2
-        k_max = _auto_kmax(worst, None)
-    f0, d1, d2 = _central_differences(lambda tt: _phi(sp, tt, k_max), t, h)
-    const = radial_eigenvalue(sp)
-    res = np.empty(r, dtype=complex)
+        k_max = _auto_kmax(x_of(max(abs(v) for v in point) + h), r)
+    f0 = fn(point, k_max)
+    d1 = np.empty(r, dtype=complex)
+    d2 = np.empty(r, dtype=complex)
     for k in range(r):
-        lhs = d2[k] + 2.0 / math.tanh(2.0 * t[k]) * d1[k] - 2.0 * sp.nu * math.tanh(t[k]) * d1[k]
-        for j in range(r):
-            if j == k:
-                continue
-            lhs += (
-                0.5
-                * sp.multiplicity
-                * (math.sinh(2.0 * t[j]) * d1[j] - math.sinh(2.0 * t[k]) * d1[k])
-                / (sh2[j] - sh2[k])
-            )
-        res[k] = lhs - const * f0
-    return res, f0
+        plus, minus = list(point), list(point)
+        plus[k] += h
+        minus[k] -= h
+        fp, fm = fn(tuple(plus), k_max), fn(tuple(minus), k_max)
+        d1[k] = (fp - fm) / (2.0 * h)
+        d2[k] = (fp - 2.0 * f0 + fm) / h**2
+    return np.array([row(k, f0, d1, d2) for k in range(r)]), f0
 
 
 @dataclass(frozen=True)
@@ -267,22 +225,52 @@ class RadialReport:
     relative: float
 
 
-def radial_residual_report(
-    sp: SphericalParams, pt: RadialPoint, h: float = 1e-3, *, k_max: int | None = None
-) -> RadialReport:
-    """Residual vector plus the scale-free relative size used by the gates.
+def radial_residual_report(sp: SphericalParams, pt: RadialPoint, h: float = 1e-3, *,
+                           k_max: int | None = None) -> RadialReport:
+    """Finite-difference residual vector of the radial system at phi = prod cosh^nu * F,
+    phi itself, and the scale-free relative size used by the gates.
 
-    relative = max_k |res_k| / (max(1, |const|) * |phi|).
+    Component k is
+
+        phi_kk + 2 coth(2 t_k) phi_k - 2 nu tanh(t_k) phi_k
+        + (m/2) sum_{j != k} [sinh(2t_j) phi_j - sinh(2t_k) phi_k]
+                              / (sinh^2 t_j - sinh^2 t_k)
+        - (lam^2 - (eta - nu)^2) phi,
+
+    and relative = max_k |res_k| / (max(1, |lam^2 - (eta - nu)^2|) * |phi|).
+    The stencil must stay off the singular set: |t_k| >= 10h and
+    |sinh^2 t_j - sinh^2 t_k| >= 10h for j != k.
     """
-    res, f0 = _radial_residual(sp, pt, h, k_max)
+    t, nu, m = pt.t, sp.nu, sp.multiplicity
     const = radial_eigenvalue(sp)
+    sh2 = [math.sinh(v) ** 2 for v in t]
+
+    def row(k, f0, d1, d2):
+        lhs = d2[k] + 2.0 / math.tanh(2.0 * t[k]) * d1[k] - 2.0 * nu * math.tanh(t[k]) * d1[k]
+        for j in range(len(t)):
+            if j != k:
+                lhs += 0.5 * m * (math.sinh(2.0 * t[j]) * d1[j] - math.sinh(2.0 * t[k]) * d1[k]) / (sh2[j] - sh2[k])
+        return lhs - const * f0
+
+    res, f0 = _fd_residual(
+        sp, t, h, k_max,
+        wall=lambda: f"|t_k| < 10h at {t}: too close to the coth singularity" if min(map(abs, t)) < 10.0 * h else None,
+        apart=("sinh^2 t", sh2),
+        x_of=lambda v: math.tanh(v) ** 2,
+        fn=lambda p, k: _cosh_power(p, nu) * spherical_F(sp, RadialPoint(p), k_max=k, early_stop=False),
+        row=row,
+    )
     rel = float(np.max(np.abs(res)) / (max(1.0, abs(const)) * abs(f0)))
     return RadialReport(residuals=res, phi_value=f0, relative=rel)
 
 
-def x_system_residual(
-    sp: SphericalParams, x, h: float = 1e-3, *, k_max: int | None = None
-) -> np.ndarray:
+def hua_radial_residual(sp: SphericalParams, pt: RadialPoint, h: float = 1e-3, *,
+                        k_max: int | None = None) -> np.ndarray:
+    """The residual vector of :func:`radial_residual_report`."""
+    return radial_residual_report(sp, pt, h, k_max=k_max).residuals
+
+
+def x_system_residual(sp: SphericalParams, x, h: float = 1e-3, *, k_max: int | None = None) -> np.ndarray:
     """Finite-difference residual of the x-coordinate system, exactly as printed.
 
     With psi the bare series in x (the function the t-system's phi becomes
@@ -292,39 +280,31 @@ def x_system_residual(
         - (m/2) sum_{j != k} [x_j(1-x_j) psi_j - x_k(1-x_k) psi_k] / (x_k - x_j)
         - ((eta - nu)^2 - lam^2)/4 * psi.
 
-    Diagnostic companion to :func:`hua_radial_residual`; requires x_k < 0,
-    pairwise separated by at least 10h.
+    Diagnostic companion to :func:`hua_radial_residual`; requires -1 + h < x_k <= -10h
+    (the stencil stays off 0 and inside the unit polydisk), pairwise separated by at least 10h.
     """
-    _check_step(h)
-    xs = tuple(float(v) for v in x)
-    r = sp.rank
-    if len(xs) != r:
-        raise InvalidArgumentError(f"x has rank {len(xs)}, params have rank {r}")
-    if not all(math.isfinite(v) for v in xs):
-        raise InvalidArgumentError(f"x must be finite, got {xs}")
-    if max(xs) > -10.0 * h:
-        raise GeometryError(f"x_k must stay below -10h, got {xs}")
-    for j in range(r):
-        for k in range(j + 1, r):
-            if abs(xs[j] - xs[k]) < 10.0 * h:
-                raise GeometryError(f"x separation below 10h between x_{j} and x_{k}")
-    if k_max is None:
-        k_max = _auto_kmax(max(abs(v) for v in xs) + h, None)
+    xs = _finite_point(x)
+    nu, m = sp.nu, sp.multiplicity
+    const = ((sp.eta - nu) ** 2 - sp.lam**2) / 4.0
+    b = (-sp.lam + sp.eta - nu) / 2.0
 
-    b = (-sp.lam + sp.eta - sp.nu) / 2.0
-    f0, d1, d2 = _central_differences(lambda xx: _spherical_series(sp, b, xx, k_max, 1e-13, False), xs, h)
-    const = ((sp.eta - sp.nu) ** 2 - sp.lam**2) / 4.0
-    res = np.empty(r, dtype=complex)
-    for k in range(r):
-        lhs = xs[k] * (1.0 - xs[k]) * d2[k] + (1.0 - (2.0 - sp.nu) * xs[k]) * d1[k]
+    def row(k, f0, d1, d2):
+        lhs = xs[k] * (1.0 - xs[k]) * d2[k] + (1.0 - (2.0 - nu) * xs[k]) * d1[k]
         acc = 0.0 + 0.0j
-        for j in range(r):
-            if j == k:
-                continue
-            acc += (xs[j] * (1.0 - xs[j]) * d1[j] - xs[k] * (1.0 - xs[k]) * d1[k]) / (xs[k] - xs[j])
-        lhs -= 0.5 * sp.multiplicity * acc
-        res[k] = lhs - const * f0
-    return res
+        for j in range(len(xs)):
+            if j != k:
+                acc += (xs[j] * (1.0 - xs[j]) * d1[j] - xs[k] * (1.0 - xs[k]) * d1[k]) / (xs[k] - xs[j])
+        return lhs - 0.5 * m * acc - const * f0
+
+    return _fd_residual(
+        sp, xs, h, k_max,
+        wall=lambda: (f"x_k must stay in (-1 + h, -10h], got {xs}"
+                      if max(xs) > -10.0 * h or min(xs) - h <= -1.0 else None),
+        apart=("x", xs),
+        x_of=abs,
+        fn=lambda p, k: _spherical_series(sp, b, p, k, 1e-13, False),
+        row=row,
+    )[0]
 
 
 _ONE = BoundaryFunction(fn=lambda u: 1.0, tag="1", batch=lambda us: np.ones(us.shape[0]))

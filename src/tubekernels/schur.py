@@ -139,8 +139,9 @@ def phi_lambda_k(lam: complex, k: int, t: float, n: int) -> complex:
     x = th * th
     if not x < 1.0:  # |t| so large that tanh^2 t rounds to 1, or t NaN
         raise DomainError(f"tanh^2 t must be < 1, got {x} at t={t}")
+    series = hyp2f1_classical(s, s + k, 1 + k, x)  # before the prefactor: a huge |lam| stops here, with no warning
     pref = np.exp(s * np.log1p(-x)) * _poch(s, k) / math.factorial(k) * th**k
-    return complex(pref * hyp2f1_classical(s, s + k, 1 + k, x))
+    return complex(pref * series)
 
 
 def det_formula_rhs(lam: complex, sig: SignatureM, t: float) -> complex:

@@ -147,11 +147,15 @@ def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
     seed = int(seed) & _MASK64
     nblocks = (samples + BLOCK - 1) // BLOCK
 
+    # NumPy's floating-point warnings are off while blocks are evaluated and merged (errstate is
+    # per thread, so each pool thread sets its own): what they flag is a non-finite value, which
+    # _check_finite or the report's JSON renderer rejects.
     def one_block(bi: int):
         start = bi * BLOCK
         count = min(BLOCK, samples - start)
         us = _haar_block(n, seed, bi, count)
-        return _block_stats(batch_values(us), start)
+        with np.errstate(all="ignore"):
+            return _block_stats(batch_values(us), start)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -159,10 +163,11 @@ def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
     else:
         results = [one_block(bi) for bi in range(nblocks)]
     acc = results[0]
-    for stats in results[1:]:
-        acc = _merge(acc, stats)
-    count, mean, m2 = acc
-    stderr = np.sqrt(m2 / (count - 1) / count)
+    with np.errstate(all="ignore"):
+        for stats in results[1:]:
+            acc = _merge(acc, stats)
+        count, mean, m2 = acc
+        stderr = np.sqrt(m2 / (count - 1) / count)
     return mean, stderr, count
 
 
@@ -209,7 +214,8 @@ def circle_quadrature(f: Callable[[complex], complex] | BoundaryFunction, nodes:
     thetas = 2.0 * np.pi * np.arange(nodes) / nodes
     us = np.exp(1j * thetas)
     g = f if isinstance(f, BoundaryFunction) else BoundaryFunction(fn=lambda u: f(u[0, 0]))
-    vals = _values(g, us[:, None, None])
+    with np.errstate(all="ignore"):  # a value NumPy would warn about is non-finite, and rejected next
+        vals = _values(g, us[:, None, None])
     _check_finite(vals, 0)
     return complex(vals.mean())
 

@@ -145,12 +145,12 @@ class LineBundleParams:
         object.__setattr__(self, "nu", int(self.nu))
 
 
-def _as_matrix(spec: DomainSpec, z) -> np.ndarray:
-    n = spec.matrix_size
+def _as_matrix(z, n: int | None = None) -> np.ndarray:
+    """z as a complex array, a scalar as the 1x1 matrix; with n, it must be n x n."""
     zm = np.asarray(z, dtype=complex)
     if zm.ndim == 0:
         zm = zm.reshape(1, 1)
-    if zm.shape != (n, n):
+    if n is not None and zm.shape != (n, n):
         raise InvalidArgumentError(f"expected a {n}x{n} matrix, got shape {zm.shape}")
     return zm
 
@@ -172,12 +172,7 @@ class KernelPoint:
     u: np.ndarray
 
     def __init__(self, z, u, spec: DomainSpec | None = None):
-        zm = np.asarray(z, dtype=complex)
-        um = np.asarray(u, dtype=complex)
-        if zm.ndim == 0:
-            zm = zm.reshape(1, 1)
-        if um.ndim == 0:
-            um = um.reshape(1, 1)
+        zm, um = _as_matrix(z), _as_matrix(u)
         if zm.shape != um.shape or zm.ndim != 2 or zm.shape[0] != zm.shape[1]:
             raise InvalidArgumentError(f"z and u must be square matrices of equal size, got {zm.shape}, {um.shape}")
         if spec is not None and zm.shape != (spec.matrix_size, spec.matrix_size):
@@ -233,8 +228,8 @@ def _h_batch(zm: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 def jordan_h(spec: DomainSpec, z, w) -> complex:
     """Jordan determinant polynomial h(z, w), holomorphic in z, conjugate in w."""
-    zm = _as_matrix(spec, z)
-    wm = _as_matrix(spec, w)
+    zm = _as_matrix(z, spec.matrix_size)
+    wm = _as_matrix(w, spec.matrix_size)
     return complex(_h_batch(zm, wm[None])[0])
 
 
@@ -262,7 +257,7 @@ def poisson_kernel_batch(
     the open domain, or a u with h(z, u) = 0, raises :class:`SingularKernelError`.
     """
     n = spec.matrix_size
-    zm = _as_matrix(spec, z)
+    zm = _as_matrix(z, n)
     us = np.asarray(u_batch, dtype=complex)
     if us.ndim != 3 or us.shape[1:] != (n, n):
         raise InvalidArgumentError(f"u_batch must have shape (B, {n}, {n}), got {us.shape}")
@@ -281,14 +276,19 @@ def poisson_kernel_batch(
     return out
 
 
+def _spectral_constant(eta: float, params: LineBundleParams) -> complex:
+    """lam^2 - (eta - nu)^2, the constant every eigenvalue of the paper is a multiple of."""
+    return params.lam**2 - (eta - params.nu) ** 2
+
+
 def hua_eigenvalue(spec: DomainSpec, params: LineBundleParams) -> complex:
     """(lam^2 - (eta - nu)^2) / (4p) with p the genus."""
-    return (params.lam**2 - (spec.eta - params.nu) ** 2) / (4.0 * spec.genus)
+    return _spectral_constant(spec.eta, params) / (4.0 * spec.genus)
 
 
 def casimir_eigenvalue(spec: DomainSpec, params: LineBundleParams) -> complex:
     """(lam^2 - (eta - nu)^2) / (4r) with r the rank."""
-    return (params.lam**2 - (spec.eta - params.nu) ** 2) / (4.0 * spec.rank)
+    return _spectral_constant(spec.eta, params) / (4.0 * spec.rank)
 
 
 @dataclass(frozen=True)
@@ -304,18 +304,12 @@ class AdmissibilityReport:
 _INT_TOL = 1e-9
 
 
-def _is_positive_integer(v: complex) -> bool:
+def _is_positive_multiple(v: complex, step: int) -> bool:
+    """Whether v is, within _INT_TOL, one of step, 2 step, 3 step, ..."""
     if abs(v.imag) > _INT_TOL:
         return False
     nearest = round(v.real)
-    return nearest >= 1 and abs(v.real - nearest) <= _INT_TOL
-
-
-def _is_positive_even_integer(v: complex) -> bool:
-    if abs(v.imag) > _INT_TOL:
-        return False
-    nearest = round(v.real)
-    return nearest >= 2 and nearest % 2 == 0 and abs(v.real - nearest) <= _INT_TOL
+    return nearest >= step and nearest % step == 0 and abs(v.real - nearest) <= _INT_TOL
 
 
 def check_admissibility(spec: DomainSpec, params: LineBundleParams) -> AdmissibilityReport:
@@ -331,10 +325,10 @@ def check_admissibility(spec: DomainSpec, params: LineBundleParams) -> Admissibi
     cond13 = True
     for j in (0, 1):
         v = -lam - (m / 2.0) * (-r + 2 + j)
-        if _is_positive_integer(v):
+        if _is_positive_multiple(v, 1):
             cond13 = False
     w = -lam + spec.eta - abs(params.nu)
-    cond14 = not _is_positive_even_integer(w)
+    cond14 = not _is_positive_multiple(w, 2)
     return AdmissibilityReport(condition_13=cond13, condition_14=cond14)
 
 
@@ -357,12 +351,7 @@ def _group_blocks(g: np.ndarray):
 
 def _denominator(g: np.ndarray, z):
     a, b, c, d = _group_blocks(g)
-    n = a.shape[0]
-    zm = np.asarray(z, dtype=complex)
-    if zm.ndim == 0:
-        zm = zm.reshape(1, 1)
-    if zm.shape != (n, n):
-        raise InvalidArgumentError(f"z must be {n}x{n}, got {zm.shape}")
+    zm = _as_matrix(z, a.shape[0])
     denom = c @ zm + d
     sv = np.linalg.svd(denom, compute_uv=False)
     if sv[-1] <= 1e-14 * sv[0]:

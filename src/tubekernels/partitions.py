@@ -47,6 +47,11 @@ _MAX_WEIGHT = 200
 _MAX_WEIGHT_GENERAL = 100
 
 
+def _degree_cap(rank: int) -> int:
+    """The largest degree a Jack table of this rank reaches."""
+    return _MAX_WEIGHT if rank < 3 else _MAX_WEIGHT_GENERAL
+
+
 @dataclass(frozen=True)
 class Partition:
     """Weakly decreasing tuple of nonnegative integers, trailing zeros removed."""
@@ -289,10 +294,6 @@ class _Engine(dict):
         memo[key] = total
         return total
 
-    def C(self, parts: tuple[int, ...], x: tuple[float, ...], memo: dict) -> float:
-        """C-normalized Jack polynomial at x, for len(parts) <= len(x)."""
-        return self[parts][3] * self.J(parts, len(x), x, memo)
-
 
 # Bounded: an engine grows with the partitions reached, so keep few alphas.
 _engine = lru_cache(maxsize=4)(_Engine)
@@ -307,28 +308,15 @@ def _finite_point(x) -> tuple[float, ...]:
 
 
 def jack_C(kappa: Partition, alpha, x) -> float:
-    """C-normalized Jack polynomial at a real point x of length r.
+    """C-normalized Jack polynomial at a real point x of length r: the kappa
+    entry of the table ``jack_C_all(alpha, x, |kappa|)``, so the two agree bit
+    for bit.
 
-    Vanishes identically when kappa has more parts than x has entries.
-    Degrees are bounded (100 through the branching recursion, 200 for the
-    single-variable monomial) to stay within double-precision range; the
-    table builder :func:`jack_C_all` goes deeper in one and two variables.
+    Vanishes identically when kappa has more parts than x has entries.  The
+    degree is capped as the tables are: 200 at rank <= 2, 100 at rank >= 3.
     NaN or inf in x is rejected.
     """
-    al = _alpha_value(alpha)
-    parts = kappa.parts
-    xs = _finite_point(x)
-    r = len(xs)
-    if len(parts) > r:
-        return 0.0
-    if not parts:
-        return 1.0
-    bound = _MAX_WEIGHT if r == 1 else _MAX_WEIGHT_GENERAL
-    if kappa.weight > bound:
-        raise InvalidArgumentError(f"degree {kappa.weight} exceeds supported maximum {bound}")
-    if r == 1:
-        return xs[0] ** parts[0]
-    return _engine(al).C(parts, xs, {})
+    return jack_C_all(alpha, x, kappa.weight).get(kappa.parts, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +383,7 @@ def _table_args(alpha, x, kmax: int) -> tuple[float, tuple[float, ...]]:
         raise InvalidArgumentError(f"kmax must be nonnegative, got {kmax}")
     if kmax > _MAX_WEIGHT:
         raise InvalidArgumentError(f"kmax {kmax} exceeds supported maximum {_MAX_WEIGHT}")
-    if len(xs) >= 3 and kmax > _MAX_WEIGHT_GENERAL:
+    if kmax > _degree_cap(len(xs)):
         raise InvalidArgumentError(f"kmax {kmax} exceeds the branching-path maximum {_MAX_WEIGHT_GENERAL} "
                                    f"for rank {len(xs)}")
     return al, xs
@@ -416,5 +404,5 @@ def _jack_table_cached(al: float, xs: tuple[float, ...], kmax: int):
     if r == 2:
         return MappingProxyType(_rank2_table(al, xs[0], xs[1], kmax))
     engine, memo = _engine(al), {}
-    return MappingProxyType({parts: engine.C(parts, xs, memo) for k in range(kmax + 1)
+    return MappingProxyType({parts: engine[parts][3] * engine.J(parts, r, xs, memo) for k in range(kmax + 1)
                              for parts in _partition_tuples(k, r)})

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainSpec, LineBundleParams, _eta_of
+from .domains import DomainSpec, LineBundleParams, _eta_of, _spectral_constant, casimir_eigenvalue
 from .errors import ConvergenceError, DomainError, GeometryError, InvalidArgumentError, NonFiniteResultError
 from .hypergeom import HyperParams, hyp2f1_multi
-from .partitions import _MAX_WEIGHT, _MAX_WEIGHT_GENERAL, _finite_point
+from .partitions import _degree_cap, _finite_point
 from .shilov import BoundaryFunction, poisson_transform
 from .shilov import circle_quadrature  # noqa: F401  (perfbench/tracing.py wraps radial.circle_quadrature)
 
@@ -90,7 +90,7 @@ class RadialPoint:
 
 def radial_eigenvalue(sp: SphericalParams) -> complex:
     """Eigenvalue constant lam^2 - (eta - nu)^2 of the t-coordinate system."""
-    return sp.lam**2 - (sp.eta - sp.nu) ** 2
+    return _spectral_constant(sp.eta, sp)
 
 
 def _auto_kmax(max_abs_x: float, rank: int) -> int:
@@ -98,7 +98,7 @@ def _auto_kmax(max_abs_x: float, rank: int) -> int:
     if max_abs_x < 1e-12:
         return 8
     est = int(math.ceil(math.log(1e-17) / math.log(max_abs_x))) + 10
-    return min(max(est, 40), _MAX_WEIGHT if rank < 3 else _MAX_WEIGHT_GENERAL)
+    return min(max(est, 40), _degree_cap(rank))
 
 
 def _spherical_series(
@@ -285,7 +285,7 @@ def x_system_residual(sp: SphericalParams, x, h: float = 1e-3, *, k_max: int | N
     """
     xs = _finite_point(x)
     nu, m = sp.nu, sp.multiplicity
-    const = ((sp.eta - nu) ** 2 - sp.lam**2) / 4.0
+    const = -radial_eigenvalue(sp) / 4.0
     b = (-sp.lam + sp.eta - nu) / 2.0
 
     def row(k, f0, d1, d2):
@@ -334,4 +334,4 @@ def disk_casimir_residual(lam: complex, z: complex, h: float = 1e-3, *, nodes: i
     py = disk_poisson_value(lam, zc + 1j * h, nodes) + disk_poisson_value(lam, zc - 1j * h, nodes)
     lap = (px + py - 4.0 * p0) / h**2
     delta = (1.0 - abs(zc) ** 2) ** 2 * 0.25 * lap
-    return delta - (lam**2 - 1.0) / 4.0 * p0
+    return delta - casimir_eigenvalue(DomainSpec.disk(), LineBundleParams(lam, 0)) * p0

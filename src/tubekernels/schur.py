@@ -11,14 +11,15 @@ s_(m - m_n), with det(u) the top coefficient of the characteristic polynomial.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .domains import char_poly_coeffs
-from .errors import DomainError, InvalidArgumentError, NumericalError
+from .domains import _as_matrix, _unitary_defect, char_poly_coeffs
+from .errors import DomainError, InvalidArgumentError, NonFiniteResultError, NumericalError
 from .hypergeom import hyp2f1_classical
 
 __all__ = [
@@ -73,11 +74,8 @@ def schur_char(sig: SignatureM, u) -> complex:
 def phi_m(sig: SignatureM, u) -> complex:
     """Normalized character schur_char / weyl_dim (zonal-type, phi_m(I) = 1) of one
     unitary: the one-matrix view of :func:`phi_m_batch`."""
-    um = np.asarray(u, dtype=complex)
-    n = sig.n
-    if um.shape != (n, n):
-        raise InvalidArgumentError(f"u must be {n}x{n} for this signature, got {um.shape}")
-    if np.max(np.abs(um @ um.conj().T - np.eye(n))) > _UNITARY_TOL:
+    um = _as_matrix(u, sig.n)
+    if _unitary_defect(um) > _UNITARY_TOL:
         raise InvalidArgumentError("u is not unitary")
     return complex(phi_m_batch(sig, um[None])[0])
 
@@ -151,14 +149,20 @@ def det_formula_rhs(lam: complex, sig: SignatureM, t: float) -> complex:
     the determinant is 1 and the boundary integral it represents has total
     mass 1.  (The Andreief reduction of the U(n) integral gives exactly
     det(phi)/d_m; an extra n! would double-count the Weyl-measure factor.)
+    A non-finite value (an overflowing prefactor at a large |lam|) raises
+    NonFiniteResultError.
     """
     n = sig.n
     mat = np.empty((n, n), dtype=complex)
     cache: dict[int, complex] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            k = abs(sig.parts[i - 1] - i + j)
-            if k not in cache:
-                cache[k] = phi_lambda_k(lam, k, t, n)
-            mat[i - 1, j - 1] = cache[k]
-    return complex(np.linalg.det(mat) / weyl_dim(sig))
+    with np.errstate(all="ignore"):  # a value NumPy would warn about is non-finite, and rejected next
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                k = abs(sig.parts[i - 1] - i + j)
+                if k not in cache:
+                    cache[k] = phi_lambda_k(lam, k, t, n)
+                mat[i - 1, j - 1] = cache[k]
+        out = complex(np.linalg.det(mat) / weyl_dim(sig))
+    if not cmath.isfinite(out):
+        raise NonFiniteResultError(f"the determinant formula is non-finite at lambda = {lam}, t = {t}")
+    return out

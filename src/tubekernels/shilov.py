@@ -144,6 +144,8 @@ def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
     """Evaluate `batch_values(us)` over Haar blocks and merge in order."""
     if samples < 2:
         raise InvalidArgumentError(f"samples must be >= 2, got {samples}")
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     seed = int(seed) & _MASK64
     nblocks = (samples + BLOCK - 1) // BLOCK
 

@@ -14,7 +14,7 @@ c is the denominator parameter throughout.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, DomainError, InvalidArgumentError, NonFiniteResultError, ParameterError
 from .partitions import _finite_point, _partition_tuples, jack_C_all
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-12
+_CLASSICAL_TOL, _CLASSICAL_TERMS = 1e-14, 200000  # tail tolerance and term cap of hyp2f1_classical
 
 
 @dataclass(frozen=True)
@@ -152,10 +153,11 @@ def hyp2f1_multi(params: HyperParams, x, *, early_stop: bool = True, collect_she
     )
 
 
-def hyp2f1_classical(a, b, c, x, *, tail_tol: float = 1e-14, max_terms: int = 200000) -> complex:
+def hyp2f1_classical(a, b, c, x) -> complex:
     """Classical Gauss series 2F1(a, b; c; x), |x| < 1, adaptive truncation.
 
-    Truncates once two consecutive terms drop below tail_tol * max(1, |sum|);
+    Truncates once two consecutive terms drop below 1e-14 * max(1, |sum|),
+    and raises ConvergenceError if that has not happened within 200000 terms;
     terminating series (a or b a nonpositive integer) stop exactly.  A
     nonpositive-integer c reached before termination is a parameter error, and
     the first non-finite term ends the sum with NonFiniteResultError.
@@ -167,7 +169,7 @@ def hyp2f1_classical(a, b, c, x, *, tail_tol: float = 1e-14, max_terms: int = 20
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     small_run = 0
-    for k in range(max_terms):
+    for k in range(_CLASSICAL_TERMS):
         den = c + k
         if abs(den) < _POLE_TOL:
             raise ParameterError(f"c={c} is a nonpositive integer reached at term {k}")
@@ -177,16 +179,16 @@ def hyp2f1_classical(a, b, c, x, *, tail_tol: float = 1e-14, max_terms: int = 20
         if term == 0.0:
             return total
         total += term
-        if abs(term) <= tail_tol * max(1.0, abs(total)):
+        if abs(term) <= _CLASSICAL_TOL * max(1.0, abs(total)):
             small_run += 1
             if small_run >= 2:
                 return total
         else:
             small_run = 0
-    raise ConvergenceError(f"classical series did not reach tail {tail_tol} in {max_terms} terms")
+    raise ConvergenceError(f"classical series did not reach tail {_CLASSICAL_TOL} in {_CLASSICAL_TERMS} terms")
 
 
-def euler_transform_check(params: HyperParams, x, *, early_stop: bool = True) -> float:
+def euler_transform_check(params: HyperParams, x) -> float:
     """Relative residual of the Euler-type transformation.
 
     Compares 2F1^(m)(a, b; c; x) against
@@ -197,17 +199,9 @@ def euler_transform_check(params: HyperParams, x, *, early_stop: bool = True) ->
     outside that, the right-hand series raises a domain error.
     """
     xs = tuple(float(v) for v in x)
-    lhs_res = hyp2f1_multi(params, xs, early_stop=early_stop)
+    lhs_res = hyp2f1_multi(params, xs)
     y = tuple(v / (v - 1.0) for v in xs)
-    rhs_params = HyperParams(
-        a=params.a,
-        b=params.c - params.b,
-        c=params.c,
-        multiplicity_m=params.multiplicity_m,
-        k_max=params.k_max,
-        tol=params.tol,
-    )
-    rhs_res = hyp2f1_multi(rhs_params, y, early_stop=early_stop)
+    rhs_res = hyp2f1_multi(replace(params, b=params.c - params.b), y)
     log_pref = -params.a * sum(cmath.log(1.0 - v) for v in xs)
     rhs = cmath.exp(log_pref) * rhs_res.value
     lhs = lhs_res.value

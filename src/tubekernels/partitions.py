@@ -270,8 +270,6 @@ class _Engine(dict):
         """J-normalized Jack polynomial at (x_1, ..., x_n), by branching on x_n."""
         if not parts:
             return 1.0
-        if len(parts) > n:
-            return 0.0
         key = (parts, n)
         total = memo.get(key)
         if total is not None:

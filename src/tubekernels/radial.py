@@ -15,7 +15,8 @@ the printed operator; it is also exactly what the x-coordinate form of the
 system (whose constant is ((eta - nu)^2 - lam^2)/4) transforms into under
 x_j = -sinh^2 t_j.  Both reductions are covered by tests.
 
-Both systems share one central second-order stencil, ``_fd_residual``.  Its
+Each system checks its own step, rank and singular wall and forms its own rows;
+both take their central differences from one stencil, ``_fd_differences``.  Its
 series run to one degree, chosen at the worst stencil point (no early stop), so
 the truncation tail is a smooth function of the point and cancels in the differences.
 """
@@ -23,6 +24,7 @@ the truncation tail is a smooth function of the point and cancels in the differe
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +103,11 @@ def _auto_kmax(max_abs_x: float, rank: int) -> int:
     return min(max(est, 40), _degree_cap(rank))
 
 
+def _check_rank(sp: SphericalParams, point: tuple[float, ...]):
+    if len(point) != sp.rank:
+        raise InvalidArgumentError(f"point has rank {len(point)}, params have rank {sp.rank}")
+
+
 def _spherical_series(
     sp: SphericalParams, b: complex, x: tuple[float, ...], k_max: int | None, tol: float, early_stop: bool
 ) -> complex:
@@ -109,8 +116,7 @@ def _spherical_series(
     k_max None picks the degree from max|x|.  A non-finite or unconverged series
     gives no value: it raises NonFiniteResultError or ConvergenceError.
     """
-    if len(x) != sp.rank:
-        raise InvalidArgumentError(f"point has rank {len(x)}, params have rank {sp.rank}")
+    _check_rank(sp, x)
     k_max = _auto_kmax(max(abs(v) for v in x), sp.rank) if k_max is None else k_max
     params = HyperParams(a=(sp.lam + sp.eta - sp.nu) / 2.0, b=b, c=sp.eta, multiplicity_m=sp.multiplicity,
                          k_max=k_max, tol=tol)
@@ -146,8 +152,7 @@ def spherical_F(sp: SphericalParams, pt: RadialPoint, *, k_max: int | None = Non
     return pref * series
 
 
-def spherical_F_xform(sp: SphericalParams, pt: RadialPoint, *, k_max: int | None = None, tol: float = 1e-13,
-                      early_stop: bool = True) -> complex:
+def spherical_F_xform(sp: SphericalParams, pt: RadialPoint, *, k_max: int | None = None, tol: float = 1e-13) -> complex:
     """The alternative representation of the same function:
 
     prod_j (cosh t_j)^(-nu)
@@ -160,7 +165,7 @@ def spherical_F_xform(sp: SphericalParams, pt: RadialPoint, *, k_max: int | None
     if max(abs(v) for v in x) >= 1.0:
         raise DomainError(f"-sinh^2 t leaves the unit polydisk at {pt.t}; use spherical_F")
     b = (-sp.lam + sp.eta - sp.nu) / 2.0
-    return _cosh_power(pt.t, -sp.nu) * _spherical_series(sp, b, x, k_max, tol, early_stop)
+    return _cosh_power(pt.t, -sp.nu) * _spherical_series(sp, b, x, k_max, tol, True)
 
 
 def hua_integral_rhs(sp: SphericalParams, pt: RadialPoint, *, k_max: int | None = None, tol: float = 1e-13) -> complex:
@@ -180,42 +185,29 @@ def _check_step(h: float):
         raise InvalidArgumentError(f"the finite-difference step must be positive, got {h}")
 
 
-def _fd_residual(sp: SphericalParams, point: tuple[float, ...], h: float, k_max: int | None, *,
-                 wall, apart, x_of, fn, row):
-    """Residual vector of a radial system by central differences, and fn at the point.
+def _fd_differences(fn, point: tuple[float, ...], h: float, apart, max_x: float):
+    """fn at the point, and its first and second central differences along each coordinate.
 
-    The stencil of both systems.  It checks the step, the rank, the system's
-    one-sided guard (``wall()`` is the GeometryError message once the stencil
-    reaches the singular wall, else None) and that the coordinates ``apart`` =
-    (name, values) stay 10h apart pairwise.  Then it evaluates ``fn(p, k_max)``
-    at the point and at p +- h e_k, all at one degree: k_max, or the automatic
-    degree of the worst stencil point, whose largest |x| is x_of(max_k |p_k| + h).
-    Component k of the residual is ``row(k, f0, d1, d2)``.
+    The stencil of both radial systems, called once each has checked its step,
+    rank and singular wall.  It checks that the coordinates ``apart`` =
+    (name, values) stay 10h apart pairwise, then evaluates ``fn(p, k_max)`` at
+    the point and at p +- h e_k, all at one degree: the automatic degree of the
+    worst stencil point, whose largest |x| is ``max_x``.
     """
-    _check_step(h)
-    r = sp.rank
-    if len(point) != r:
-        raise InvalidArgumentError(f"point has rank {len(point)}, params have rank {r}")
-    if (message := wall()) is not None:
-        raise GeometryError(message)
+    r = len(point)
     name, coords = apart
-    for j in range(r):
-        for k in range(j + 1, r):
-            if abs(coords[j] - coords[k]) < 10.0 * h:
-                raise GeometryError(f"{name} separation below 10h between coordinates {j} and {k}")
-    if k_max is None:
-        k_max = _auto_kmax(x_of(max(abs(v) for v in point) + h), r)
+    for j, k in itertools.combinations(range(r), 2):
+        if abs(coords[j] - coords[k]) < 10.0 * h:
+            raise GeometryError(f"{name} separation below 10h between coordinates {j} and {k}")
+    k_max = _auto_kmax(max_x, r)
     f0 = fn(point, k_max)
-    d1 = np.empty(r, dtype=complex)
-    d2 = np.empty(r, dtype=complex)
+    d1, d2 = np.empty(r, dtype=complex), np.empty(r, dtype=complex)
     for k in range(r):
-        plus, minus = list(point), list(point)
-        plus[k] += h
-        minus[k] -= h
-        fp, fm = fn(tuple(plus), k_max), fn(tuple(minus), k_max)
+        fp = fn(point[:k] + (point[k] + h,) + point[k + 1:], k_max)
+        fm = fn(point[:k] + (point[k] - h,) + point[k + 1:], k_max)
         d1[k] = (fp - fm) / (2.0 * h)
         d2[k] = (fp - 2.0 * f0 + fm) / h**2
-    return np.array([row(k, f0, d1, d2) for k in range(r)]), f0
+    return f0, d1, d2
 
 
 @dataclass(frozen=True)
@@ -225,8 +217,7 @@ class RadialReport:
     relative: float
 
 
-def radial_residual_report(sp: SphericalParams, pt: RadialPoint, h: float = 1e-3, *,
-                           k_max: int | None = None) -> RadialReport:
+def radial_residual_report(sp: SphericalParams, pt: RadialPoint, h: float = 1e-3) -> RadialReport:
     """Finite-difference residual vector of the radial system at phi = prod cosh^nu * F,
     phi itself, and the scale-free relative size used by the gates.
 
@@ -242,35 +233,34 @@ def radial_residual_report(sp: SphericalParams, pt: RadialPoint, h: float = 1e-3
     |sinh^2 t_j - sinh^2 t_k| >= 10h for j != k.
     """
     t, nu, m = pt.t, sp.nu, sp.multiplicity
+    _check_step(h)
+    _check_rank(sp, t)
+    if min(map(abs, t)) < 10.0 * h:
+        raise GeometryError(f"|t_k| < 10h at {t}: too close to the coth singularity")
     const = radial_eigenvalue(sp)
     sh2 = [math.sinh(v) ** 2 for v in t]
-
-    def row(k, f0, d1, d2):
+    f0, d1, d2 = _fd_differences(
+        lambda p, k: _cosh_power(p, nu) * spherical_F(sp, RadialPoint(p), k_max=k, early_stop=False),
+        t, h, ("sinh^2 t", sh2), math.tanh(max(map(abs, t)) + h) ** 2,
+    )
+    rows = []
+    for k in range(len(t)):
         lhs = d2[k] + 2.0 / math.tanh(2.0 * t[k]) * d1[k] - 2.0 * nu * math.tanh(t[k]) * d1[k]
         for j in range(len(t)):
             if j != k:
                 lhs += 0.5 * m * (math.sinh(2.0 * t[j]) * d1[j] - math.sinh(2.0 * t[k]) * d1[k]) / (sh2[j] - sh2[k])
-        return lhs - const * f0
-
-    res, f0 = _fd_residual(
-        sp, t, h, k_max,
-        wall=lambda: f"|t_k| < 10h at {t}: too close to the coth singularity" if min(map(abs, t)) < 10.0 * h else None,
-        apart=("sinh^2 t", sh2),
-        x_of=lambda v: math.tanh(v) ** 2,
-        fn=lambda p, k: _cosh_power(p, nu) * spherical_F(sp, RadialPoint(p), k_max=k, early_stop=False),
-        row=row,
-    )
+        rows.append(lhs - const * f0)
+    res = np.array(rows)
     rel = float(np.max(np.abs(res)) / (max(1.0, abs(const)) * abs(f0)))
     return RadialReport(residuals=res, phi_value=f0, relative=rel)
 
 
-def hua_radial_residual(sp: SphericalParams, pt: RadialPoint, h: float = 1e-3, *,
-                        k_max: int | None = None) -> np.ndarray:
+def hua_radial_residual(sp: SphericalParams, pt: RadialPoint, h: float = 1e-3) -> np.ndarray:
     """The residual vector of :func:`radial_residual_report`."""
-    return radial_residual_report(sp, pt, h, k_max=k_max).residuals
+    return radial_residual_report(sp, pt, h).residuals
 
 
-def x_system_residual(sp: SphericalParams, x, h: float = 1e-3, *, k_max: int | None = None) -> np.ndarray:
+def x_system_residual(sp: SphericalParams, x, h: float = 1e-3) -> np.ndarray:
     """Finite-difference residual of the x-coordinate system, exactly as printed.
 
     With psi the bare series in x (the function the t-system's phi becomes
@@ -284,27 +274,24 @@ def x_system_residual(sp: SphericalParams, x, h: float = 1e-3, *, k_max: int | N
     (the stencil stays off 0 and inside the unit polydisk), pairwise separated by at least 10h.
     """
     xs = _finite_point(x)
+    _check_step(h)
+    _check_rank(sp, xs)
+    if max(xs) > -10.0 * h or min(xs) - h <= -1.0:
+        raise GeometryError(f"x_k must stay in (-1 + h, -10h], got {xs}")
     nu, m = sp.nu, sp.multiplicity
     const = -radial_eigenvalue(sp) / 4.0
     b = (-sp.lam + sp.eta - nu) / 2.0
-
-    def row(k, f0, d1, d2):
+    f0, d1, d2 = _fd_differences(lambda p, k: _spherical_series(sp, b, p, k, 1e-13, False),
+                                 xs, h, ("x", xs), max(map(abs, xs)) + h)
+    rows = []
+    for k in range(len(xs)):
         lhs = xs[k] * (1.0 - xs[k]) * d2[k] + (1.0 - (2.0 - nu) * xs[k]) * d1[k]
         acc = 0.0 + 0.0j
         for j in range(len(xs)):
             if j != k:
                 acc += (xs[j] * (1.0 - xs[j]) * d1[j] - xs[k] * (1.0 - xs[k]) * d1[k]) / (xs[k] - xs[j])
-        return lhs - 0.5 * m * acc - const * f0
-
-    return _fd_residual(
-        sp, xs, h, k_max,
-        wall=lambda: (f"x_k must stay in (-1 + h, -10h], got {xs}"
-                      if max(xs) > -10.0 * h or min(xs) - h <= -1.0 else None),
-        apart=("x", xs),
-        x_of=abs,
-        fn=lambda p, k: _spherical_series(sp, b, p, k, 1e-13, False),
-        row=row,
-    )[0]
+        rows.append(lhs - 0.5 * m * acc - const * f0)
+    return np.array(rows)
 
 
 _ONE = BoundaryFunction(fn=lambda u: 1.0, tag="1", batch=lambda us: np.ones(us.shape[0]))

@@ -140,12 +140,16 @@ def _block_stats(values: np.ndarray, start_index: int):
     return vals.shape[0], mean, m2
 
 
-def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
-    """Evaluate `batch_values(us)` over Haar blocks and merge in order."""
-    if samples < 2:
-        raise InvalidArgumentError(f"samples must be >= 2, got {samples}")
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+
+
+def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
+    """Evaluate `batch_values(us)` over Haar blocks in a pool of `workers` threads and merge in order."""
+    if samples < 2:
+        raise InvalidArgumentError(f"samples must be >= 2, got {samples}")
+    _check_workers(workers)
     seed = int(seed) & _MASK64
     nblocks = (samples + BLOCK - 1) // BLOCK
 
@@ -159,11 +163,8 @@ def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
         with np.errstate(all="ignore"):
             return _block_stats(batch_values(us), start)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_block, range(nblocks)))
-    else:
-        results = [one_block(bi) for bi in range(nblocks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(one_block, range(nblocks)))
     acc = results[0]
     with np.errstate(all="ignore"):
         for stats in results[1:]:
@@ -237,11 +238,12 @@ def poisson_transform(
 
     The integrand is the batched kernel times f.  Disk evaluations use exact
     circle quadrature (stderr 0); type I uses Haar Monte Carlo with the
-    module's reproducible stream layout.
+    module's reproducible stream layout.  Either way ``workers`` must be >= 1.
     """
     integrand = BoundaryFunction(
         fn=None, tag=f.tag, batch=lambda us: poisson_kernel_batch(spec, params, z, us) * _values(f, us)
     )
     if spec.kind == "disk":
+        _check_workers(workers)
         return McEstimate(mean=circle_quadrature(integrand, nodes), stderr=0.0, samples=nodes, seed=int(seed))
     return mc_integrate(integrand, spec.matrix_size, samples, seed, workers=workers)

@@ -23,9 +23,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .domains import (DomainSpec, LineBundleParams, casimir_eigenvalue, catalog_record, char_poly_coeffs,
-                      cocycle_residual, hua_eigenvalue, kernel_covariance_residual, poisson_kernel_batch,
-                      random_group_element)
+from .domains import (FAMILIES, KERNEL_FAMILIES, DomainSpec, LineBundleParams, casimir_eigenvalue, catalog_record,
+                      char_poly_coeffs, cocycle_residual, hua_eigenvalue, kernel_covariance_residual,
+                      poisson_kernel_batch, random_group_element)
 from .errors import (ConvergenceError, DomainError, GeometryError, InvalidArgumentError, NonFiniteResultError,
                      NonFiniteSampleError, NumericalError, ParameterError, SingularActionError, SingularKernelError)
 from .hypergeom import HyperParams, hyp2f1_multi
@@ -40,8 +40,6 @@ EXIT_FAIL = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_BAD_ARGS = 3
 _Z_GATE = 4.0  # a Monte Carlo estimate matches a closed form within this many standard errors
-
-DOMAIN_KINDS = ("disk", "typeI", "typeII", "typeIII", "typeIV", "e7")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,7 +141,7 @@ _KEYS = {
     "r": Key(_int, _REQUIRED, "rank"),
     "m": Key(_float, 2.0, "root multiplicity (Jack parameter 2/m)"),
     "n": Key(_int, 2, "matrix size of the type I_{n,n} domain"),
-    "domain": Key(_choice("disk", "typeI"), "disk", "domain with a Poisson kernel"),
+    "domain": Key(_choice(*KERNEL_FAMILIES), "disk", "domain with a Poisson kernel"),
     "lambda": Key(_complex, _REQUIRED, "spectral parameter (complex literal, e.g. 0.9+0.3j)"),
     "nu": Key(_int, 0, "line-bundle twist"),
     "t": Key(_floats, _REQUIRED, "radial coordinates t_1,...,t_r"),
@@ -191,7 +189,7 @@ _SCHEMA = {
     "check-covariance": _keys("n lambda nu trials kernel_gate cocycle_gate seed"),
     "table": _keys(
         "domain n lambda nu seed",
-        {"domain": Key(_choice(*DOMAIN_KINDS), None, "catalog entry (None: every kind)"), "lambda": None},
+        {"domain": Key(_choice(*FAMILIES), None, "catalog entry (None: every kind)"), "lambda": None},
     ),
     "suite": _keys("config"),
 }
@@ -460,7 +458,7 @@ def run_check_covariance(cfg: dict) -> tuple[dict, bool | None, int]:
 def run_table(cfg: dict) -> tuple[dict, bool | None, int]:
     n = cfg["n"]
     rows = []
-    for kind in [cfg["domain"]] if cfg["domain"] else DOMAIN_KINDS:
+    for kind in [cfg["domain"]] if cfg["domain"] else FAMILIES:
         rec = catalog_record(kind, n)
         if cfg["lambda"] is not None:
             spec = DomainSpec.of(kind, n)

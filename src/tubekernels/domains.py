@@ -1,9 +1,9 @@
 """Tube-type domain invariants, Jordan polynomial, and line-bundle Poisson kernels.
 
-Full kernel evaluators exist for the unit disk (rank 1) and the type I_{n,n}
-matrix ball {z : ||z||_op < 1}, whose Shilov boundary is U(n).  The remaining
-tube-type families appear in the catalog as (rank, multiplicity, eta, genus)
-records only.
+``FAMILIES`` gives every tube-type family's rank and multiplicity at size n,
+and the catalog derives eta and the genus 2 eta from them.  Kernel evaluators
+(``KERNEL_FAMILIES``) exist for the unit disk and the type I_{n,n} matrix ball
+{z : ||z||_op < 1}, whose Shilov boundary is U(n); the rest are records only.
 
 Conventions pinned here:
 
@@ -31,6 +31,8 @@ __all__ = [
     "LineBundleParams",
     "KernelPoint",
     "AdmissibilityReport",
+    "FAMILIES",
+    "KERNEL_FAMILIES",
     "catalog_record",
     "char_poly_coeffs",
     "jordan_h",
@@ -53,10 +55,6 @@ _UNITARY_TOL = 1e-12
 
 def _eta_of(m: float, r: int) -> float:
     return 0.5 * m * (r - 1) + 1.0
-
-
-def _genus_of(m: float, r: int) -> float:
-    return m * (r - 1) + 2.0
 
 
 @dataclass(frozen=True)
@@ -98,38 +96,34 @@ class DomainSpec:
                    genus=rec["genus"], matrix_size=rec["rank"])
 
 
-def catalog_record(kind: str, n: int) -> dict:
-    """(rank, multiplicity, eta, genus) record for every tube-type family.
+# Every tube-type family: its (rank, multiplicity) at size n.  e7 ignores n.
+FAMILIES = {
+    "disk": lambda n: (1, 2.0),
+    "typeI": lambda n: (n, 2.0),
+    "typeII": lambda n: (n, 4.0),
+    "typeIII": lambda n: (n, 1.0),
+    "typeIV": lambda n: (2, float(n - 2)),
+    "e7": lambda n: (3, 8.0),
+}
+KERNEL_FAMILIES = ("disk", "typeI")  # the families with Poisson kernel evaluators
 
-    Only ``disk`` and ``typeI`` carry kernel evaluators; the others are
-    bookkeeping entries (``typeIV`` requires n >= 3, ``e7`` ignores n).
+
+def catalog_record(kind: str, n: int) -> dict:
+    """(rank, multiplicity, eta, genus) record of a family in ``FAMILIES``.
+
+    Only the ``KERNEL_FAMILIES`` carry kernel evaluators; the others are
+    bookkeeping entries (``typeIV`` requires n >= 3).
     """
-    if kind == "disk":
-        r, m = 1, 2.0
-    elif kind == "typeI":
-        r, m = n, 2.0
-    elif kind == "typeII":
-        r, m = n, 4.0
-    elif kind == "typeIII":
-        r, m = n, 1.0
-    elif kind == "typeIV":
-        if n < 3:
-            raise InvalidArgumentError("typeIV record requires n >= 3")
-        r, m = 2, float(n - 2)
-    elif kind == "e7":
-        r, m = 3, 8.0
-    else:
+    if kind not in FAMILIES:
         raise InvalidArgumentError(f"unknown domain kind {kind!r}")
+    if kind == "typeIV" and n < 3:
+        raise InvalidArgumentError("typeIV record requires n >= 3")
+    r, m = FAMILIES[kind](n)
     if r < 1:
         raise InvalidArgumentError(f"rank must be >= 1, got {r}")
-    return {
-        "kind": kind,
-        "rank": r,
-        "multiplicity": m,
-        "eta": _eta_of(m, r),
-        "genus": _genus_of(m, r),
-        "has_kernel": kind in ("disk", "typeI"),
-    }
+    eta = _eta_of(m, r)
+    return {"kind": kind, "rank": r, "multiplicity": m, "eta": eta, "genus": 2.0 * eta,
+            "has_kernel": kind in KERNEL_FAMILIES}
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ hook-product coefficients, applied at a numeric point.  Polynomials are never
 expanded symbolically, so degrees of 30+ stay cheap.
 
 One engine (after Koev & Edelman, Math. Comp. 75 (2006)) keeps, per alpha,
-what does not depend on x: each partition's conjugate, column hook products
-and C normalization, in an ``lru_cache`` bounded to 4 alpha values.  The J
-values depend on x and are memoised while one table is built.  Tables cover
-every degree up to the requested kmax, so their cost follows (rank, alpha,
-kmax) and not the point.  For one and two variables there are closed
+what does not depend on x: each partition's column hook products and C
+normalization, in an ``lru_cache`` bounded to 4 alpha values.  A table builds
+the J values one variable at a time, each level from the one before, and
+covers every degree up to the requested kmax, so its cost follows (rank,
+alpha, kmax) and not the point.  For one and two variables there are closed
 coefficient formulas (a single monomial, resp. ultraspherical-type
 coefficients) that build whole tables at once.
 """
@@ -132,8 +132,6 @@ def _partition_tuples(k: int, max_length: int, max_part: int | None = None):
     if k == 0:
         yield ()
         return
-    if max_length == 0:
-        return
     top = k if max_part is None else min(k, max_part)
     for first in range(top, 0, -1):
         if first * max_length < k:
@@ -230,8 +228,8 @@ def _c_norm(parts: tuple[int, ...], conj: tuple[int, ...], al: float) -> float:
 
 class _Engine(dict):
     """The branching rule for one alpha.  Maps kappa, on first use, to its
-    conjugate, upper and lower column hook products and C normalization;
-    the x-dependent J values live in the ``memo`` the caller passes in."""
+    upper and lower column hook products and C normalization; ``table``
+    evaluates at a point."""
 
     def __init__(self, al: float):
         self.al = al
@@ -244,7 +242,7 @@ class _Engine(dict):
         # per value keeps the engine small.
         upper, lower = ([self.products.setdefault(v, v) for v in hooks]
                         for hooks in _column_hooks(parts, conj, self.al))
-        shape = self[parts] = (conj, upper, lower, _c_norm(parts, conj, self.al))
+        shape = self[parts] = (upper, lower, _c_norm(parts, conj, self.al))
         return shape
 
     def _beta(self, kappa: tuple[int, ...], mu: tuple[int, ...]) -> float:
@@ -254,8 +252,8 @@ class _Engine(dict):
         use lower hooks, others upper ones; numerator over kappa's columns,
         denominator over mu's, each multiplied left to right.
         """
-        _, ku, kl, _ = self[kappa]
-        _, mu_u, mu_l, _ = self[mu]
+        ku, kl, _ = self[kappa]
+        mu_u, mu_l, _ = self[mu]
         num, den = [], []
         done = 0  # columns placed so far; the last row's strip lies leftmost
         for i in range(len(kappa) - 1, -1, -1):
@@ -266,31 +264,29 @@ class _Engine(dict):
             done = hi
         return math.prod(num, start=1.0) / math.prod(den, start=1.0)
 
-    def J(self, parts: tuple[int, ...], n: int, x: tuple[float, ...], memo: dict) -> float:
-        """J-normalized Jack polynomial at (x_1, ..., x_n), by branching on x_n."""
-        if not parts:
-            return 1.0
-        key = (parts, n)
-        total = memo.get(key)
-        if total is not None:
-            return total
-        if n == 1:
-            total = x[0] ** parts[0]
-            for j in range(parts[0]):
-                total *= 1.0 + j * self.al
-        else:
-            total = 0.0
-            w = sum(parts)
-            xn = x[n - 1]
-            for mu in _horizontal_strips(parts, n - 1):
-                skip = w - sum(mu)
-                if skip > 0 and xn == 0.0:
-                    continue
-                sub = self.J(mu, n - 1, x, memo)
-                if sub != 0.0:
-                    total += sub * xn**skip * self._beta(parts, mu)
-        memo[key] = total
-        return total
+    def table(self, x: tuple[float, ...], kmax: int) -> dict[tuple[int, ...], float]:
+        """C_kappa(x) for every |kappa| <= kmax, with J built one variable at a time: level 1
+        is J_(k)(x_1) = x_1^k prod_j (1 + j alpha), level n branches level n - 1 on x_n."""
+        level = {}
+        for k in range(kmax + 1):
+            v = x[0] ** k
+            for j in range(k):
+                v *= 1.0 + j * self.al
+            level[(k,) if k else ()] = v
+        for n in range(2, len(x) + 1):
+            xn, below, level = x[n - 1], level, {}
+            for k in range(kmax + 1):
+                for parts in _partition_tuples(k, n):
+                    total = 0.0
+                    for mu in _horizontal_strips(parts, n - 1):
+                        skip = k - sum(mu)
+                        if skip > 0 and xn == 0.0:
+                            continue
+                        sub = below[mu]
+                        if sub != 0.0:
+                            total += sub * xn**skip * self._beta(parts, mu)
+                    level[parts] = total
+        return {parts: self[parts][2] * jack for parts, jack in level.items()}
 
 
 # Bounded: an engine grows with the partitions reached, so keep few alphas.
@@ -384,6 +380,11 @@ def _table_args(alpha, x, kmax: int) -> tuple[float, tuple[float, ...]]:
     if kmax > _degree_cap(len(xs)):
         raise InvalidArgumentError(f"kmax {kmax} exceeds the branching-path maximum {_MAX_WEIGHT_GENERAL} "
                                    f"for rank {len(xs)}")
+    if len(xs) == 2:  # g_1 = (1/alpha + 1) - 1 must not round to 0, nor alpha^(kmax // 2) overflow
+        m_min = float(f"{2.0 / 2.0 ** min(52, 1023 / max(kmax // 2, 1)) * 1.01:.3g}")  # 1 % headroom, 3 digits
+        if al > 2.0 / m_min:
+            raise InvalidArgumentError(f"multiplicity m = {2.0 / al:.3g} is out of floating-point range for a "
+                                       f"rank-2 table to degree {kmax}; the smallest m it accepts there is {m_min:g}")
     return al, xs
 
 
@@ -401,6 +402,4 @@ def _jack_table_cached(al: float, xs: tuple[float, ...], kmax: int):
         return MappingProxyType(table)
     if r == 2:
         return MappingProxyType(_rank2_table(al, xs[0], xs[1], kmax))
-    engine, memo = _engine(al), {}
-    return MappingProxyType({parts: engine[parts][3] * engine.J(parts, r, xs, memo) for k in range(kmax + 1)
-                             for parts in _partition_tuples(k, r)})
+    return MappingProxyType(_engine(al).table(xs, kmax))

@@ -128,7 +128,7 @@ def phi_lambda_k(lam: complex, k: int, t: float, n: int) -> complex:
     """One-variable building block of the determinant formula.
 
     (1 - tanh^2 t)^((lam+n)/2) * ((lam+n)/2)_k / k! * tanh^k t
-    * 2F1((lam+n)/2, (lam+n)/2 + k; 1 + k; tanh^2 t).
+    * 2F1((lam+n)/2, (lam+n)/2 + k; 1 + k; tanh^2 t); non-finite raises NonFiniteResultError.
     """
     if k < 0:
         raise InvalidArgumentError(f"k must be nonnegative, got {k}")
@@ -138,8 +138,12 @@ def phi_lambda_k(lam: complex, k: int, t: float, n: int) -> complex:
     if not x < 1.0:  # |t| so large that tanh^2 t rounds to 1, or t NaN
         raise DomainError(f"tanh^2 t must be < 1, got {x} at t={t}")
     series = hyp2f1_classical(s, s + k, 1 + k, x)  # before the prefactor: a huge |lam| stops here, with no warning
-    pref = np.exp(s * np.log1p(-x)) * _poch(s, k) / math.factorial(k) * th**k
-    return complex(pref * series)
+    with np.errstate(all="ignore"):  # a value NumPy would warn about is non-finite, and rejected next
+        out = complex(np.exp(s * np.log1p(-x)) * _poch(s, k) / math.factorial(k) * th**k * series)
+    if not cmath.isfinite(out):
+        raise NonFiniteResultError(f"the determinant formula is non-finite: phi_(lambda, k)(t) = {out} at "
+                                   f"lambda = {lam}, k = {k}, t = {t}")
+    return out
 
 
 def det_formula_rhs(lam: complex, sig: SignatureM, t: float) -> complex:

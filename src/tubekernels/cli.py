@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .domains import (FAMILIES, KERNEL_FAMILIES, DomainSpec, LineBundleParams, casimir_eigenvalue, catalog_record,
-                      char_poly_coeffs, cocycle_residual, hua_eigenvalue, kernel_covariance_residual,
+                      char_poly_coeffs, cocycle_residual, families_at, hua_eigenvalue, kernel_covariance_residual,
                       poisson_kernel_batch, random_group_element)
 from .errors import (ConvergenceError, DomainError, GeometryError, InvalidArgumentError, NonFiniteResultError,
                      NonFiniteSampleError, NumericalError, ParameterError, SingularActionError, SingularKernelError)
@@ -458,7 +458,7 @@ def run_check_covariance(cfg: dict) -> tuple[dict, bool | None, int]:
 def run_table(cfg: dict) -> tuple[dict, bool | None, int]:
     n = cfg["n"]
     rows = []
-    for kind in [cfg["domain"]] if cfg["domain"] else FAMILIES:
+    for kind in [cfg["domain"]] if cfg["domain"] else families_at(n):
         rec = catalog_record(kind, n)
         if cfg["lambda"] is not None:
             spec = DomainSpec.of(kind, n)

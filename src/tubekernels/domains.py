@@ -1,7 +1,8 @@
 """Tube-type domain invariants, Jordan polynomial, and line-bundle Poisson kernels.
 
 ``FAMILIES`` gives every tube-type family's rank and multiplicity at size n,
-and the catalog derives eta and the genus 2 eta from them.  Kernel evaluators
+``families_at`` those that exist at n, and the catalog derives eta and the
+genus 2 eta from them.  Kernel evaluators
 (``KERNEL_FAMILIES``) exist for the unit disk and the type I_{n,n} matrix ball
 {z : ||z||_op < 1}, whose Shilov boundary is U(n); the rest are records only.
 
@@ -34,6 +35,7 @@ __all__ = [
     "FAMILIES",
     "KERNEL_FAMILIES",
     "catalog_record",
+    "families_at",
     "char_poly_coeffs",
     "jordan_h",
     "poisson_kernel",
@@ -108,19 +110,31 @@ FAMILIES = {
 KERNEL_FAMILIES = ("disk", "typeI")  # the families with Poisson kernel evaluators
 
 
+def _record_error(kind: str, n: int) -> str | None:
+    """Why ``kind`` has no record at size n, or None when it has one."""
+    if kind not in FAMILIES:
+        return f"unknown domain kind {kind!r}"
+    if kind == "typeIV" and n < 3:
+        return "typeIV record requires n >= 3"
+    r = FAMILIES[kind](n)[0]
+    return f"rank must be >= 1, got {r}" if r < 1 else None
+
+
+def families_at(n: int) -> list[str]:
+    """The kinds in ``FAMILIES`` that have a record at size n, in table order."""
+    return [kind for kind in FAMILIES if _record_error(kind, n) is None]
+
+
 def catalog_record(kind: str, n: int) -> dict:
     """(rank, multiplicity, eta, genus) record of a family in ``FAMILIES``.
 
     Only the ``KERNEL_FAMILIES`` carry kernel evaluators; the others are
     bookkeeping entries (``typeIV`` requires n >= 3).
     """
-    if kind not in FAMILIES:
-        raise InvalidArgumentError(f"unknown domain kind {kind!r}")
-    if kind == "typeIV" and n < 3:
-        raise InvalidArgumentError("typeIV record requires n >= 3")
+    error = _record_error(kind, n)
+    if error:
+        raise InvalidArgumentError(error)
     r, m = FAMILIES[kind](n)
-    if r < 1:
-        raise InvalidArgumentError(f"rank must be >= 1, got {r}")
     eta = _eta_of(m, r)
     return {"kind": kind, "rank": r, "multiplicity": m, "eta": eta, "genus": 2.0 * eta,
             "has_kernel": kind in KERNEL_FAMILIES}

@@ -11,12 +11,16 @@ hook-product coefficients, applied at a numeric point.  Polynomials are never
 expanded symbolically, so degrees of 30+ stay cheap.
 
 One engine (after Koev & Edelman, Math. Comp. 75 (2006)) keeps, per alpha,
-what does not depend on x: each partition's column hook products and C
-normalization, in an ``lru_cache`` bounded to 4 alpha values.  A table builds
-the J values one variable at a time, each level from the one before, and
-covers every degree up to the requested kmax, so its cost follows (rank,
-alpha, kmax) and not the point.  For one and two variables there are closed
-coefficient formulas (a single monomial, resp. ultraspherical-type
+what does not depend on x: each partition's column hook products, in one
+compact float array, and its C normalization, in an ``lru_cache`` bounded to
+4 alpha values.  A table builds the J values one variable at a time, each
+level from the one before, and covers every degree up to the requested kmax.
+The table is shell-vectorized: every branching term of a (level, degree)
+shell, coefficient included, is computed in NumPy passes of bounded size,
+with the float operations of the scalar recursion in the same order, so the
+values are those of that recursion bit for bit.  Its cost still follows
+(rank, alpha, kmax) and not the point.  For one and two variables there are
+closed coefficient formulas (a single monomial, resp. ultraspherical-type
 coefficients) that build whole tables at once.
 """
 
@@ -24,9 +28,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 
@@ -226,67 +233,157 @@ def _c_norm(parts: tuple[int, ...], conj: tuple[int, ...], al: float) -> float:
     return out
 
 
+# Pairs x columns of one NumPy pass of the branching kernel; bounds its scratch arrays.
+_PASS_ELEMENTS = 1 << 15
+
+
+def _partition_counts(max_length: int, kmax: int) -> np.ndarray:
+    """counts[l, d, p]: the number of partitions of d into at most l parts, each at most p."""
+    counts = np.zeros((max_length + 1, kmax + 1, kmax + 1), np.int64)
+    counts[:, 0, :] = 1
+    for length in range(1, max_length + 1):
+        for p in range(1, kmax + 1):  # parts below p, then those with a largest part p
+            counts[length, :, p] = counts[length, :, p - 1]
+            counts[length, p:, p] += counts[length - 1, :kmax + 1 - p, p]
+    return counts
+
+
+def _passes(weights: np.ndarray, budget: int):
+    """Consecutive runs [a, b) of items whose weights sum to at most budget, one item at least."""
+    ends = np.cumsum(weights)
+    a = 0
+    while a < len(weights):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - weights[a] + budget, "right")))
+        yield a, b
+        a = b
+
+
 class _Engine(dict):
-    """The branching rule for one alpha.  Maps kappa, on first use, to its
-    upper and lower column hook products and C normalization; ``table``
-    evaluates at a point."""
+    """The branching rule for one alpha.  Maps kappa, on first use, to the
+    offset of its column hook products in one compact store and its C
+    normalization; ``table`` evaluates at a point."""
 
     def __init__(self, al: float):
         self.al = al
-        self.products: dict[float, float] = {}
+        # Column j of the partition at offset o keeps its upper and lower hook
+        # products at 2 (o + j) and 2 (o + j) + 1.  Offset 0 is a padding
+        # column of exact 1.0 factors.
+        self.hooks = np.ones(2)
 
-    def __missing__(self, parts: tuple[int, ...]) -> tuple:
-        conj = _conjugate(parts)
-        # Hook products are positive and repeat across partitions (about 800
-        # distinct values among 4000 partitions at k <= 40); one shared float
-        # per value keeps the engine small.
-        upper, lower = ([self.products.setdefault(v, v) for v in hooks]
-                        for hooks in _column_hooks(parts, conj, self.al))
-        shape = self[parts] = (upper, lower, _c_norm(parts, conj, self.al))
-        return shape
+    def __missing__(self, parts: tuple[int, ...]) -> tuple[int, float]:
+        self._offsets([parts])
+        return self[parts]
+
+    def _offsets(self, partitions: list[tuple[int, ...]]) -> np.ndarray:
+        """The hook offsets of the partitions, storing those not seen yet in one growth of the store."""
+        new = [parts for parts in partitions if parts not in self]
+        if new:
+            offset = len(self.hooks) // 2
+            hooks = np.empty(len(self.hooks) + 2 * sum(parts[0] for parts in new if parts))
+            hooks[:len(self.hooks)] = self.hooks
+            for parts in new:
+                conj = _conjugate(parts)
+                end = offset + len(conj)
+                hooks[2 * offset:2 * end:2], hooks[2 * offset + 1:2 * end:2] = _column_hooks(parts, conj, self.al)
+                self[parts] = (offset, _c_norm(parts, conj, self.al))
+                offset = end
+            self.hooks = hooks
+        return np.array([self[parts][0] for parts in partitions], np.int64)
+
+    def _betas(self, kappa: np.ndarray, mu: np.ndarray, koff: np.ndarray, moff: np.ndarray) -> np.ndarray:
+        """Branching coefficients for J-normalized Jack of P horizontal strips kappa/mu.
+
+        kappa and mu hold the parts as rows (n x P, zero padded), koff and moff
+        the hook offsets.  Column j uses lower hooks where it loses a box
+        (mu_i <= j < kappa_i for some row i), upper ones elsewhere.  The
+        numerator runs over kappa's columns and the denominator over mu's, each
+        folded left to right from 1.0 as math.prod does, and padded past its
+        last column with exact 1.0 factors.  A zero denominator raises
+        ZeroDivisionError, as float division does.
+        """
+        width, pairs = int(kappa[0].max(initial=0)), np.arange(kappa.shape[1])
+        low = np.zeros((width + 1, len(pairs)), np.int8)
+        for k_row, mu_row in zip(kappa, mu):  # +1 where a row's lost boxes start, -1 past them
+            low[mu_row, pairs] += 1
+            low[k_row, pairs] -= 1
+        np.cumsum(low, axis=0, out=low)
+        kcol, mcol = 2 * koff, 2 * moff
+        num, den = np.ones(len(pairs)), np.ones(len(pairs))
+        with np.errstate(all="ignore"):
+            for j in range(width):
+                num *= self.hooks[np.where(kappa[0] > j, kcol + low[j], 0)]
+                den *= self.hooks[np.where(mu[0] > j, mcol + low[j], 0)]
+                kcol += 2
+                mcol += 2
+            if not den.all():
+                raise ZeroDivisionError("float division by zero")
+            return num / den
 
     def _beta(self, kappa: tuple[int, ...], mu: tuple[int, ...]) -> float:
-        """Branching coefficient for J-normalized Jack, kappa/mu a horizontal strip.
-
-        Columns j with mu_i <= j < kappa_i for some row i (those losing a box)
-        use lower hooks, others upper ones; numerator over kappa's columns,
-        denominator over mu's, each multiplied left to right.
-        """
-        ku, kl, _ = self[kappa]
-        mu_u, mu_l, _ = self[mu]
-        num, den = [], []
-        done = 0  # columns placed so far; the last row's strip lies leftmost
-        for i in range(len(kappa) - 1, -1, -1):
-            lo = mu[i] if i < len(mu) else 0
-            hi = kappa[i]
-            num += ku[done:lo] + kl[lo:hi]
-            den += mu_u[done:lo] + mu_l[lo:hi]
-            done = hi
-        return math.prod(num, start=1.0) / math.prod(den, start=1.0)
+        """The branching coefficient of one strip kappa/mu: a one-pair call of ``_betas``."""
+        rows = np.zeros((2, max(len(kappa), 1), 1), np.int64)
+        rows[0, :len(kappa), 0], rows[1, :len(mu), 0] = kappa, mu
+        return float(self._betas(rows[0], rows[1], self._offsets([kappa]), self._offsets([mu]))[0])
 
     def table(self, x: tuple[float, ...], kmax: int) -> dict[tuple[int, ...], float]:
         """C_kappa(x) for every |kappa| <= kmax, with J built one variable at a time: level 1
-        is J_(k)(x_1) = x_1^k prod_j (1 + j alpha), level n branches level n - 1 on x_n."""
-        level = {}
+        is J_(k)(x_1) = x_1^k prod_j (1 + j alpha), level n branches level n - 1 on x_n.
+
+        A level is an array over its partitions, degree by degree in reverse-lex
+        order.  Each degree shell of a level is summed in NumPy passes over all
+        its strips kappa/mu.  Every entry keeps the float operations, in order,
+        of total = 0.0; total += (sub * x_n**skip) * beta over the strips in
+        ``_horizontal_strips`` order: a strip skipped there (skip > 0 with
+        x_n = 0, or sub = 0) adds +0.0 here, which leaves the total unchanged.
+        """
+        below = []
         for k in range(kmax + 1):
             v = x[0] ** k
             for j in range(k):
                 v *= 1.0 + j * self.al
-            level[(k,) if k else ()] = v
+            below.append(v)
+        shells = [[(k,) if k else ()] for k in range(kmax + 1)]
+        below, boff = np.array(below), self._offsets([parts for shell in shells for parts in shell])
+        counts = _partition_counts(len(x) - 1, kmax)
         for n in range(2, len(x) + 1):
-            xn, below, level = x[n - 1], level, {}
-            for k in range(kmax + 1):
-                for parts in _partition_tuples(k, n):
-                    total = 0.0
-                    for mu in _horizontal_strips(parts, n - 1):
-                        skip = k - sum(mu)
-                        if skip > 0 and xn == 0.0:
-                            continue
-                        sub = below[mu]
-                        if sub != 0.0:
-                            total += sub * xn**skip * self._beta(parts, mu)
-                    level[parts] = total
-        return {parts: self[parts][2] * jack for parts, jack in level.items()}
+            shells = [list(_partition_tuples(k, n)) for k in range(kmax + 1)]
+            below, boff = self._level(n, x[n - 1], shells, below, boff, counts)
+        return {parts: self[parts][1] * jack
+                for parts, jack in zip(itertools.chain.from_iterable(shells), below.tolist())}
+
+    def _level(self, n, xn, shells, below, boff, counts) -> tuple[np.ndarray, np.ndarray]:
+        """J at level n, shell by shell, and its hook offsets, from level n - 1's values and
+        hook offsets by slot.  The slot of mu there: the partitions of lower degree, then
+        those of its degree before it in reverse-lex order, counted part by part."""
+        starts = np.concatenate(([0], np.cumsum(counts[n - 1].diagonal())))
+        loff = self._offsets([parts for shell in shells for parts in shell])
+        powers = np.array([xn**s for s in range(len(shells))])
+        level = np.empty(len(loff))
+        first = 0
+        for k, shell in enumerate(shells):
+            kap = np.array([parts + (0,) * (n - len(parts)) for parts in shell]).T
+            strips = np.prod(kap[:-1] - kap[1:] + 1, axis=0)
+            for a, b in _passes(strips * np.maximum(kap[0], 1), _PASS_ELEMENTS):
+                q = np.repeat(np.arange(a, b), strips[a:b])  # each strip's kappa, then its index
+                index = np.arange(len(q)) - (np.cumsum(strips[a:b]) - strips[a:b])[q - a]
+                kq, mu, digits = kap[:, q], np.zeros((n, len(q)), np.int64), index
+                for i in range(n - 2, -1, -1):  # the last row fastest, each counting down
+                    digits, d = np.divmod(digits, kq[i] - kq[i + 1] + 1)
+                    mu[i] = kq[i] - d
+                deg = mu.sum(0)
+                slot, rem, top = starts[deg], deg, deg
+                for i in range(n - 1):
+                    slot = slot + counts[n - 1 - i, rem, top] - counts[n - 1 - i, rem, mu[i]]
+                    rem, top = rem - mu[i], mu[i]
+                skip, sub = k - deg, below[slot]
+                keep = (sub != 0.0) & ((skip == 0) | (xn != 0.0))
+                grid = np.zeros((b - a, int(strips[a:b].max()) + 1))  # a row per kappa, led by +0.0
+                with np.errstate(all="ignore"):
+                    grid[q[keep] - a, index[keep] + 1] = (sub[keep] * powers[skip[keep]]) * self._betas(
+                        kq[:, keep], mu[:, keep], loff[first + q[keep]], boff[slot[keep]])
+                    level[first + a:first + b] = np.add.accumulate(grid, axis=1, out=grid)[:, -1]
+            first += len(shell)
+        return level, loff
 
 
 # Bounded: an engine grows with the partitions reached, so keep few alphas.
@@ -380,12 +477,28 @@ def _table_args(alpha, x, kmax: int) -> tuple[float, tuple[float, ...]]:
     if kmax > _degree_cap(len(xs)):
         raise InvalidArgumentError(f"kmax {kmax} exceeds the branching-path maximum {_MAX_WEIGHT_GENERAL} "
                                    f"for rank {len(xs)}")
-    if len(xs) == 2:  # g_1 = (1/alpha + 1) - 1 must not round to 0, nor alpha^(kmax // 2) overflow
-        m_min = float(f"{2.0 / 2.0 ** min(52, 1023 / max(kmax // 2, 1)) * 1.01:.3g}")  # 1 % headroom, 3 digits
-        if al > 2.0 / m_min:
+    if len(xs) == 2:
+        m_min, m_max = _rank2_m_range(kmax)
+        if al > 2.0 / m_min or al < 2.0 / m_max:
             raise InvalidArgumentError(f"multiplicity m = {2.0 / al:.3g} is out of floating-point range for a "
-                                       f"rank-2 table to degree {kmax}; the smallest m it accepts there is {m_min:g}")
+                                       f"rank-2 table to degree {kmax}; the largest m it accepts there is "
+                                       f"{m_max:g} and the smallest m it accepts there is {m_min:g}")
     return al, xs
+
+
+def _rank2_m_range(kmax: int) -> tuple[float, float]:
+    """The multiplicities m = 2 / alpha a rank-2 table to degree kmax accepts, with 1 % headroom, 3 digits.
+
+    Small m: g_1 = (1/alpha + 1) - 1 must not round to 0, nor alpha^(kmax // 2)
+    overflow.  Large m: the kmax + 1 products g_i g_(d-i), each at most
+    (1/alpha + d)^d / (floor(d/2)! ceil(d/2)!), must sum to a float.
+    """
+    m_min = float(f"{2.0 / 2.0 ** min(52, 1023 / max(kmax // 2, 1)) * 1.01:.3g}")
+    k = max(kmax, 1)
+    log_top = (math.log(sys.float_info.max) + math.lgamma(k // 2 + 1) + math.lgamma(k - k // 2 + 1)
+               - math.log(k + 1)) / k
+    m_max = float(f"{2.0 * (math.exp(log_top) - k) / 1.01:.3g}")
+    return m_min, m_max
 
 
 @lru_cache(maxsize=48)

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _UNITARY_TOL = 1e-10
+_MAX_K = 170  # the largest k whose k! is a float; phi_(lambda, k) divides by it
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,10 @@ def phi_lambda_k(lam: complex, k: int, t: float, n: int) -> complex:
 
     (1 - tanh^2 t)^((lam+n)/2) * ((lam+n)/2)_k / k! * tanh^k t
     * 2F1((lam+n)/2, (lam+n)/2 + k; 1 + k; tanh^2 t); non-finite raises NonFiniteResultError.
+    k runs from 0 to 170, the largest k whose k! is a float.
     """
-    if k < 0:
-        raise InvalidArgumentError(f"k must be nonnegative, got {k}")
+    if not 0 <= k <= _MAX_K:
+        raise InvalidArgumentError(f"k must be in 0..{_MAX_K}, got {k}")
     s = (lam + n) / 2.0
     th = math.tanh(t)
     x = th * th
@@ -154,9 +156,17 @@ def det_formula_rhs(lam: complex, sig: SignatureM, t: float) -> complex:
     mass 1.  (The Andreief reduction of the U(n) integral gives exactly
     det(phi)/d_m; an extra n! would double-count the Weyl-measure factor.)
     A non-finite value (an overflowing prefactor at a large |lam|) raises
-    NonFiniteResultError.
+    NonFiniteResultError.  The entries need k = |m_i - i + j| <= 170, so
+    m_1 <= 171 - n and m_n >= n - 171; a part past them is a bad argument.
     """
     n = sig.n
+    first, last = sig.parts[0], sig.parts[-1]
+    if first + n - 1 > _MAX_K:
+        raise InvalidArgumentError(f"signature part m_1 = {first} is out of range at n = {n}; "
+                                   f"the largest m_1 accepted there is {_MAX_K + 1 - n}")
+    if n - 1 - last > _MAX_K:
+        raise InvalidArgumentError(f"signature part m_{n} = {last} is out of range at n = {n}; "
+                                   f"the smallest m_{n} accepted there is {n - 1 - _MAX_K}")
     mat = np.empty((n, n), dtype=complex)
     cache: dict[int, complex] = {}
     with np.errstate(all="ignore"):  # a value NumPy would warn about is non-finite, and rejected next

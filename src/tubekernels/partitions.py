@@ -12,15 +12,19 @@ expanded symbolically, so degrees of 30+ stay cheap.
 
 One engine (after Koev & Edelman, Math. Comp. 75 (2006)) keeps, per alpha,
 what does not depend on x: each partition's column hook products, in one
-compact float array, and its C normalization, in an ``lru_cache`` bounded to
-4 alpha values.  A table builds the J values one variable at a time, each
-level from the one before, and covers every degree up to the requested kmax.
-The table is shell-vectorized: every branching term of a (level, degree)
-shell, coefficient included, is computed in NumPy passes of bounded size,
-with the float operations of the scalar recursion in the same order, so the
-values are those of that recursion bit for bit.  Its cost still follows
-(rank, alpha, kmax) and not the point.  For one and two variables there are
-closed coefficient formulas (a single monomial, resp. ultraspherical-type
+compact float array, and its C normalization; and the branching coefficients
+of every (level, degree) shell it has built, one float array per shell, up to
+2^21 coefficients (16 MiB) per engine.  Engines sit in an ``lru_cache``
+bounded to 4 alpha values, so the stored coefficients take 64 MiB at most.
+A table builds the J values one variable at a time, each level from the one
+before, and covers every degree up to the requested kmax.  The table is
+shell-vectorized: every branching term of a (level, degree) shell is computed
+in NumPy passes of bounded size, its coefficient computed or read from the
+store, with the float operations of the scalar recursion in the same order,
+so the values are those of that recursion bit for bit.  Its cost follows
+(rank, alpha, kmax) and which shells the process has already built at that
+alpha, not the point.  For one and two variables there are closed
+coefficient formulas (a single monomial, resp. ultraspherical-type
 coefficients) that build whole tables at once.
 """
 
@@ -235,6 +239,8 @@ def _c_norm(parts: tuple[int, ...], conj: tuple[int, ...], al: float) -> float:
 
 # Pairs x columns of one NumPy pass of the branching kernel; bounds its scratch arrays.
 _PASS_ELEMENTS = 1 << 15
+# Branching coefficients one engine stores (8 bytes each, 16 MiB); shells past it are computed and dropped.
+_BETA_STORE = 1 << 21
 
 
 def _partition_counts(max_length: int, kmax: int) -> np.ndarray:
@@ -261,7 +267,10 @@ def _passes(weights: np.ndarray, budget: int):
 class _Engine(dict):
     """The branching rule for one alpha.  Maps kappa, on first use, to the
     offset of its column hook products in one compact store and its C
-    normalization; ``table`` evaluates at a point."""
+    normalization; ``table`` evaluates at a point.  The branching
+    coefficients of a (level, degree) shell are computed for all its strips
+    the first time a table reaches it and stored while the engine holds at
+    most ``_BETA_STORE`` of them; later tables read them."""
 
     def __init__(self, al: float):
         self.al = al
@@ -269,6 +278,11 @@ class _Engine(dict):
         # products at 2 (o + j) and 2 (o + j) + 1.  Offset 0 is a padding
         # column of exact 1.0 factors.
         self.hooks = np.ones(2)
+        # (level n, degree k) -> the branching coefficients of every strip of the
+        # shell, in the order _level walks them, and a mask of the zero
+        # denominators among them (None where there is none); self.stored counts
+        # the coefficients held.
+        self.betas, self.stored = {}, 0
 
     def __missing__(self, parts: tuple[int, ...]) -> tuple[int, float]:
         self._offsets([parts])
@@ -290,16 +304,19 @@ class _Engine(dict):
             self.hooks = hooks
         return np.array([self[parts][0] for parts in partitions], np.int64)
 
-    def _betas(self, kappa: np.ndarray, mu: np.ndarray, koff: np.ndarray, moff: np.ndarray) -> np.ndarray:
-        """Branching coefficients for J-normalized Jack of P horizontal strips kappa/mu.
+    def _betas(self, kappa: np.ndarray, mu: np.ndarray, koff: np.ndarray,
+               moff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Branching coefficients for J-normalized Jack of P horizontal strips kappa/mu,
+        and where their denominator is zero.
 
         kappa and mu hold the parts as rows (n x P, zero padded), koff and moff
         the hook offsets.  Column j uses lower hooks where it loses a box
         (mu_i <= j < kappa_i for some row i), upper ones elsewhere.  The
         numerator runs over kappa's columns and the denominator over mu's, each
         folded left to right from 1.0 as math.prod does, and padded past its
-        last column with exact 1.0 factors.  A zero denominator raises
-        ZeroDivisionError, as float division does.
+        last column with exact 1.0 factors.  A quotient over a zero denominator
+        is inf or NaN; a caller that uses it raises ZeroDivisionError, as float
+        division does.
         """
         width, pairs = int(kappa[0].max(initial=0)), np.arange(kappa.shape[1])
         low = np.zeros((width + 1, len(pairs)), np.int8)
@@ -315,15 +332,16 @@ class _Engine(dict):
                 den *= self.hooks[np.where(mu[0] > j, mcol + low[j], 0)]
                 kcol += 2
                 mcol += 2
-            if not den.all():
-                raise ZeroDivisionError("float division by zero")
-            return num / den
+            return num / den, den == 0.0
 
     def _beta(self, kappa: tuple[int, ...], mu: tuple[int, ...]) -> float:
         """The branching coefficient of one strip kappa/mu: a one-pair call of ``_betas``."""
         rows = np.zeros((2, max(len(kappa), 1), 1), np.int64)
         rows[0, :len(kappa), 0], rows[1, :len(mu), 0] = kappa, mu
-        return float(self._betas(rows[0], rows[1], self._offsets([kappa]), self._offsets([mu]))[0])
+        beta, zero = self._betas(rows[0], rows[1], self._offsets([kappa]), self._offsets([mu]))
+        if zero[0]:
+            raise ZeroDivisionError("float division by zero")
+        return float(beta[0])
 
     def table(self, x: tuple[float, ...], kmax: int) -> dict[tuple[int, ...], float]:
         """C_kappa(x) for every |kappa| <= kmax, with J built one variable at a time: level 1
@@ -354,7 +372,10 @@ class _Engine(dict):
     def _level(self, n, xn, shells, below, boff, counts) -> tuple[np.ndarray, np.ndarray]:
         """J at level n, shell by shell, and its hook offsets, from level n - 1's values and
         hook offsets by slot.  The slot of mu there: the partitions of lower degree, then
-        those of its degree before it in reverse-lex order, counted part by part."""
+        those of its degree before it in reverse-lex order, counted part by part.
+
+        The branching coefficients of a shell are read from the store, or computed for
+        every strip and stored if the store has room for them."""
         starts = np.concatenate(([0], np.cumsum(counts[n - 1].diagonal())))
         loff = self._offsets([parts for shell in shells for parts in shell])
         powers = np.array([xn**s for s in range(len(shells))])
@@ -363,9 +384,14 @@ class _Engine(dict):
         for k, shell in enumerate(shells):
             kap = np.array([parts + (0,) * (n - len(parts)) for parts in shell]).T
             strips = np.prod(kap[:-1] - kap[1:] + 1, axis=0)
+            pairs = np.concatenate(([0], np.cumsum(strips)))  # each kappa's first strip in the shell
+            stored = self.betas.get((n, k))
+            fill = stored is None and self.stored + pairs[-1] <= _BETA_STORE  # past the budget, dropped
+            if fill:
+                betas, zeros = np.empty(pairs[-1]), np.zeros(pairs[-1], bool)
             for a, b in _passes(strips * np.maximum(kap[0], 1), _PASS_ELEMENTS):
                 q = np.repeat(np.arange(a, b), strips[a:b])  # each strip's kappa, then its index
-                index = np.arange(len(q)) - (np.cumsum(strips[a:b]) - strips[a:b])[q - a]
+                index = np.arange(len(q)) - (pairs[a:b] - pairs[a])[q - a]
                 kq, mu, digits = kap[:, q], np.zeros((n, len(q)), np.int64), index
                 for i in range(n - 2, -1, -1):  # the last row fastest, each counting down
                     digits, d = np.divmod(digits, kq[i] - kq[i + 1] + 1)
@@ -375,13 +401,24 @@ class _Engine(dict):
                 for i in range(n - 1):
                     slot = slot + counts[n - 1 - i, rem, top] - counts[n - 1 - i, rem, mu[i]]
                     rem, top = rem - mu[i], mu[i]
+                lo, hi = pairs[a], pairs[b]
+                if stored is None:
+                    beta, zero = self._betas(kq, mu, loff[first + q], boff[slot])
+                    if fill:
+                        betas[lo:hi], zeros[lo:hi] = beta, zero
+                else:
+                    beta, zero = stored[0][lo:hi], None if stored[1] is None else stored[1][lo:hi]
                 skip, sub = k - deg, below[slot]
                 keep = (sub != 0.0) & ((skip == 0) | (xn != 0.0))
+                if zero is not None and zero[keep].any():
+                    raise ZeroDivisionError("float division by zero")
                 grid = np.zeros((b - a, int(strips[a:b].max()) + 1))  # a row per kappa, led by +0.0
                 with np.errstate(all="ignore"):
-                    grid[q[keep] - a, index[keep] + 1] = (sub[keep] * powers[skip[keep]]) * self._betas(
-                        kq[:, keep], mu[:, keep], loff[first + q[keep]], boff[slot[keep]])
+                    grid[q[keep] - a, index[keep] + 1] = (sub[keep] * powers[skip[keep]]) * beta[keep]
                     level[first + a:first + b] = np.add.accumulate(grid, axis=1, out=grid)[:, -1]
+            if fill:  # a mask is kept only where a denominator is zero
+                self.betas[n, k] = betas, zeros if zeros.any() else None
+                self.stored += pairs[-1]
             first += len(shell)
         return level, loff
 
@@ -477,12 +514,12 @@ def _table_args(alpha, x, kmax: int) -> tuple[float, tuple[float, ...]]:
     if kmax > _degree_cap(len(xs)):
         raise InvalidArgumentError(f"kmax {kmax} exceeds the branching-path maximum {_MAX_WEIGHT_GENERAL} "
                                    f"for rank {len(xs)}")
-    if len(xs) == 2:
-        m_min, m_max = _rank2_m_range(kmax)
+    if len(xs) >= 2:
+        m_min, m_max = _rank2_m_range(kmax) if len(xs) == 2 else _branching_m_range(len(xs), kmax)
         if al > 2.0 / m_min or al < 2.0 / m_max:
             raise InvalidArgumentError(f"multiplicity m = {2.0 / al:.3g} is out of floating-point range for a "
-                                       f"rank-2 table to degree {kmax}; the largest m it accepts there is "
-                                       f"{m_max:g} and the smallest m it accepts there is {m_min:g}")
+                                       f"rank-{len(xs)} table to degree {kmax}; the largest m it accepts there "
+                                       f"is {m_max:g} and the smallest m it accepts there is {m_min:g}")
     return al, xs
 
 
@@ -499,6 +536,22 @@ def _rank2_m_range(kmax: int) -> tuple[float, float]:
                - math.log(k + 1)) / k
     m_max = float(f"{2.0 * (math.exp(log_top) - k) / 1.01:.3g}")
     return m_min, m_max
+
+
+def _branching_m_range(rank: int, kmax: int) -> tuple[float, float]:
+    """The multiplicities m = 2 / alpha a rank >= 3 table to degree kmax accepts, with 1 % headroom, 3 digits.
+
+    Every hook product, column fold and J value at a point with |x_i| <= 1 stays a normal float.
+    Small m (alpha >= 1): a hook is at most alpha times its hook length, so a fold is at
+    most alpha^k k!, and |J_kappa(x)| <= J_(k)(1, ..., 1) = prod_(j < k) (rank + alpha j);
+    both are at most alpha^k Gamma(rank + k) / Gamma(rank).  Large m (alpha < 1): a fold
+    over c columns of a partition with at most rank rows is at least alpha^c times the
+    factorials of its row differences, so at least alpha^c Gamma(c / rank + 1)^rank.
+    """
+    k = max(kmax, 1)
+    log_al_max = (math.log(sys.float_info.max) - math.lgamma(rank + k) + math.lgamma(rank)) / k
+    log_al_min = max((math.log(sys.float_info.min) - rank * math.lgamma(c / rank + 1)) / c for c in range(1, k + 1))
+    return float(f"{2.0 / math.exp(log_al_max) * 1.01:.3g}"), float(f"{2.0 / math.exp(log_al_min) / 1.01:.3g}")
 
 
 @lru_cache(maxsize=48)

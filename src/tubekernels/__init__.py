@@ -9,77 +9,22 @@ shilov       Haar sampling on U(n), Monte Carlo / quadrature boundary integrals
 schur        Schur characters, Weyl dimensions, the determinant-side formulas
 radial       closed-form spherical functions and radial-system residuals
 cli          command-line front end (``tubekernels ...``)
+
+The package re-exports the ``__all__`` of each of the first six modules, and
+its own ``__all__`` is ``__version__`` followed by those lists.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .partitions import JackParameter, Partition, enumerate_partitions, gen_pochhammer, jack_C
-from .hypergeom import HyperParams, SeriesResult, euler_transform_check, hyp2f1_classical, hyp2f1_multi
-from .domains import (
-    DomainSpec,
-    KernelPoint,
-    LineBundleParams,
-    casimir_eigenvalue,
-    check_admissibility,
-    cocycle_j,
-    hua_eigenvalue,
-    jordan_h,
-    moebius_typeI,
-    poisson_kernel,
-)
-from .shilov import BoundaryFunction, McEstimate, circle_quadrature, haar_unitary, mc_integrate, poisson_transform
-from .schur import SignatureM, det_formula_rhs, phi_lambda_k, phi_m, schur_char, weyl_dim
-from .radial import (
-    RadialPoint,
-    SphericalParams,
-    disk_casimir_residual,
-    hua_radial_residual,
-    spherical_F,
-    spherical_F_xform,
-    x_system_residual,
-)
+from . import partitions, hypergeom, domains, shilov, schur, radial
+from .partitions import *  # noqa: F401,F403
+from .hypergeom import *  # noqa: F401,F403
+from .domains import *  # noqa: F401,F403
+from .shilov import *  # noqa: F401,F403
+from .schur import *  # noqa: F401,F403
+from .radial import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "Partition",
-    "JackParameter",
-    "enumerate_partitions",
-    "gen_pochhammer",
-    "jack_C",
-    "HyperParams",
-    "SeriesResult",
-    "hyp2f1_multi",
-    "hyp2f1_classical",
-    "euler_transform_check",
-    "DomainSpec",
-    "LineBundleParams",
-    "KernelPoint",
-    "jordan_h",
-    "poisson_kernel",
-    "hua_eigenvalue",
-    "casimir_eigenvalue",
-    "check_admissibility",
-    "moebius_typeI",
-    "cocycle_j",
-    "McEstimate",
-    "BoundaryFunction",
-    "haar_unitary",
-    "mc_integrate",
-    "circle_quadrature",
-    "poisson_transform",
-    "SignatureM",
-    "weyl_dim",
-    "schur_char",
-    "phi_m",
-    "phi_lambda_k",
-    "det_formula_rhs",
-    "SphericalParams",
-    "RadialPoint",
-    "spherical_F",
-    "spherical_F_xform",
-    "hua_radial_residual",
-    "x_system_residual",
-    "disk_casimir_residual",
-]
+__all__ = ["__version__"] + [name for module in (partitions, hypergeom, domains, shilov, schur, radial)
+                             for name in module.__all__]

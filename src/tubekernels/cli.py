@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import io
 import json
 import math
@@ -530,8 +531,10 @@ _EXIT_CODES = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    """One subcommand per schema entry; only the flags given reach the config."""
+    """One subcommand per schema entry; only the flags given reach the config.  Built on
+    the first call and shared after it: the parser depends only on ``_SCHEMA``."""
     io_flags = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     io_flags.add_argument("--output", choices=["json", "csv", "text"], help="report format (default: json)")
     io_flags.add_argument("--out", help="also write the report to this path")

@@ -49,6 +49,6 @@ class NonFiniteSampleError(RuntimeError):
     The offending sample index is stored in ``index``.
     """
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"integrand returned a non-finite value at sample {index}")
+        super().__init__(f"integrand returned a non-finite value at sample {index}")

@@ -265,9 +265,9 @@ def _passes(weights: np.ndarray, budget: int):
 
 
 class _Engine(dict):
-    """The branching rule for one alpha.  Maps kappa, on first use, to the
-    offset of its column hook products in one compact store and its C
-    normalization; ``table`` evaluates at a point.  The branching
+    """The branching rule for one alpha.  Maps each kappa that ``_offsets`` has
+    stored to the offset of its column hook products in one compact store and
+    its C normalization; ``table`` evaluates at a point.  The branching
     coefficients of a (level, degree) shell are computed for all its strips
     the first time a table reaches it and stored while the engine holds at
     most ``_BETA_STORE`` of them; later tables read them."""
@@ -283,10 +283,6 @@ class _Engine(dict):
         # denominators among them (None where there is none); self.stored counts
         # the coefficients held.
         self.betas, self.stored = {}, 0
-
-    def __missing__(self, parts: tuple[int, ...]) -> tuple[int, float]:
-        self._offsets([parts])
-        return self[parts]
 
     def _offsets(self, partitions: list[tuple[int, ...]]) -> np.ndarray:
         """The hook offsets of the partitions, storing those not seen yet in one growth of the store."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,9 @@ def hua_integral_rhs(sp: SphericalParams, pt: RadialPoint, *, k_max: int | None 
 def _check_step(h: float):
     if not h > 0:
         raise InvalidArgumentError(f"the finite-difference step must be positive, got {h}")
+    if h * h < sys.float_info.min:  # the stencils divide by h^2
+        raise InvalidArgumentError(f"the finite-difference step must be at least "
+                                   f"{math.sqrt(sys.float_info.min):.5g} so that h^2 is a normal float, got {h}")
 
 
 def _fd_differences(fn, point: tuple[float, ...], h: float, apart, max_x: float):

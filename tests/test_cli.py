@@ -1,9 +1,11 @@
 """Tests for the command-line front end: parsing, reports, exit codes."""
 
+import argparse
 import json
 
 import pytest
 
+from tubekernels import cli
 from tubekernels.cli import (
     EXIT_BAD_ARGS,
     EXIT_FAIL,
@@ -236,3 +238,18 @@ def test_failing_gate_exits_1(capsys):
 def test_render_report_rejects_unknown_format():
     with pytest.raises(Exception):
         render_report({"a": 1}, "yaml")
+
+
+def test_a_second_main_builds_no_parser(capsys, monkeypatch):
+    argv = ["eval-2f1", "--a", "0.5", "--b", "0.5", "--c", "1", "--m", "2", "--x", "0,0"]
+    assert main(argv) == EXIT_PASS  # builds the parser unless an earlier call has
+    built = []
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        argparse.ArgumentParser.__init__(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    assert main(argv) == EXIT_PASS
+    assert main(["eval-2f1", "--a", "nope", "--b", "1", "--c", "1", "--x", "0.1"]) == EXIT_BAD_ARGS
+    assert built == []

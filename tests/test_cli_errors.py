@@ -126,3 +126,21 @@ def test_non_finite_lambda_and_z_are_bad_arguments(capsys, argv):
     assert code == EXIT_BAD_ARGS
     assert out == ""
     assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-pde", "--r", "1", "--lambda", "0.9", "--t", "0.3", "--fd-step", "1e-300"),
+        ("check-x-system", "--r", "1", "--lambda", "0.9", "--x=-0.5", "--fd-step", "1e-300"),
+        ("check-casimir-disk", "--lambda", "2", "--z", "0.1,0", "--fd-step", "1e-170"),
+        ("check-pde", "--r", "1", "--lambda", "0.9", "--t", "0.3", "--fd-step", "2e-154", "--richardson"),
+    ],
+)
+def test_a_step_whose_square_underflows_is_a_bad_argument(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_BAD_ARGS
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: the finite-difference step must be at least ")
+    smallest = float(err.split("at least ")[1].split()[0])
+    assert smallest * smallest >= 2.0**-1022  # the step named is accepted

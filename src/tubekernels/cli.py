@@ -309,8 +309,6 @@ def run_eval_spherical(cfg: dict) -> tuple[dict, bool | None, int]:
 def run_check_hua_integral(cfg: dict) -> tuple[dict, bool | None, int]:
     spec = DomainSpec.of(cfg["domain"], cfg["n"])
     lam, nu, t = cfg["lambda"], cfg["nu"], cfg["t"]
-    if len(t) != spec.rank:
-        raise InvalidArgumentError(f"need {spec.rank} torus coordinates, got {len(t)}")
     sp = SphericalParams(lam=lam, nu=nu, multiplicity=spec.multiplicity, rank=spec.rank)
     rhs = hua_integral_rhs(sp, RadialPoint(t), k_max=cfg["kmax"], tol=cfg["tol"])
     z = np.diag([math.tanh(v) for v in t]).astype(complex)

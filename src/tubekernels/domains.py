@@ -85,8 +85,6 @@ class DomainSpec:
 
     @classmethod
     def type_i(cls, n: int) -> "DomainSpec":
-        if n < 1:
-            raise InvalidArgumentError(f"type I requires n >= 1, got {n}")
         return cls.of("typeI", n)
 
     @classmethod
@@ -352,26 +350,26 @@ def _group_blocks(g: np.ndarray):
     return g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
 
 
-def _denominator(g: np.ndarray, z):
+def _act(g: np.ndarray, z) -> tuple[np.ndarray, complex]:
+    """g.z = (Az + B)(Cz + D)^(-1) and the cocycle j(g, z) = det(Cz + D), from one check
+    of g and one of Cz + D."""
     a, b, c, d = _group_blocks(g)
     zm = _as_matrix(z, a.shape[0])
     denom = c @ zm + d
     sv = np.linalg.svd(denom, compute_uv=False)
     if sv[-1] <= 1e-14 * sv[0]:
         raise SingularActionError("Cz + D is singular")
-    return a, b, zm, denom
+    return np.linalg.solve(denom.T, (a @ zm + b).T).T, complex(np.linalg.det(denom))
 
 
 def moebius_typeI(g: np.ndarray, z) -> np.ndarray:
     """Fractional-linear action g.z = (Az + B)(Cz + D)^(-1) on the matrix ball."""
-    a, b, zm, denom = _denominator(g, z)
-    return np.linalg.solve(denom.T, (a @ zm + b).T).T
+    return _act(g, z)[0]
 
 
 def cocycle_j(g: np.ndarray, z) -> complex:
     """Holomorphic cocycle j(g, z) = det(Cz + D)."""
-    _, _, _, denom = _denominator(g, z)
-    return complex(np.linalg.det(denom))
+    return _act(g, z)[1]
 
 
 def random_group_element(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -397,16 +395,16 @@ def random_group_element(n: int, rng: np.random.Generator) -> np.ndarray:
 def cocycle_residual(g1: np.ndarray, g2: np.ndarray, z) -> float:
     """Relative defect of the multiplicative identity j(g1 g2, z) = j(g1, g2.z) j(g2, z)."""
     lhs = cocycle_j(np.asarray(g1) @ np.asarray(g2), z)
-    rhs = cocycle_j(g1, moebius_typeI(g2, z)) * cocycle_j(g2, z)
+    g2z, j2 = _act(g2, z)
+    rhs = _act(g1, g2z)[1] * j2
     return abs(lhs - rhs) / abs(lhs)
 
 
 def h_covariance_residual(spec: DomainSpec, g: np.ndarray, z, w) -> float:
     """Relative defect of h(g.z, g.w) = j(g,z)^(-1) h(z,w) conj(j(g,w))^(-1)."""
-    gz = moebius_typeI(g, z)
-    gw = moebius_typeI(g, w)
+    (gz, jz), (gw, jw) = _act(g, z), _act(g, w)
     lhs = jordan_h(spec, gz, gw)
-    rhs = jordan_h(spec, z, w) / (cocycle_j(g, z) * np.conj(cocycle_j(g, w)))
+    rhs = jordan_h(spec, z, w) / (jz * np.conj(jw))
     return abs(lhs - rhs) / abs(lhs)
 
 
@@ -420,13 +418,10 @@ def kernel_covariance_residual(
     J_g(.)^(1/p) = j(g, .)^(-1); every factor is branch-free for integer nu.
     A non-finite residual (a kernel value overflowed) raises NonFiniteResultError.
     """
-    gz = moebius_typeI(g, z)
-    gu = moebius_typeI(g, u)
+    (gz, jz), (gu, ju) = _act(g, z), _act(g, u)
     with np.errstate(all="ignore"):  # what NumPy would warn about is a non-finite residual, rejected below
         lhs = poisson_kernel(spec, params, KernelPoint(gz, gu, spec))
         p0 = poisson_kernel(spec, params, KernelPoint(z, u, spec))
-        jz = cocycle_j(g, z)
-        ju = cocycle_j(g, u)
         s = params.lam + spec.eta - params.nu
         rhs = p0 * jz**params.nu * np.exp(s * np.log(abs(ju))) * ju.conjugate() ** params.nu
         residual = abs(lhs - rhs) / abs(lhs)

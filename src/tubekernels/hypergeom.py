@@ -101,8 +101,6 @@ def hyp2f1_multi(params: HyperParams, x, *, early_stop: bool = True, collect_she
     ratios: dict[tuple[int, ...], complex | None] = {(): 1.0 + 0.0j}
     value = 1.0 + 0.0j
     shells = [1.0]
-    last_shell = 1.0
-    degree = 0
     small_run = 0
     for k in range(1, k_max + 1):
         shell = 0.0 + 0.0j
@@ -132,22 +130,17 @@ def hyp2f1_multi(params: HyperParams, x, *, early_stop: bool = True, collect_she
                 shell += ratio * cval
         ratios = new_ratios
         value += shell
-        degree = k
         last_shell = abs(shell)
         if collect_shells:
             shells.append(last_shell)
-        if early_stop:
-            if last_shell <= params.tol * max(1.0, abs(value)):
-                small_run += 1
-                if small_run >= 2:
-                    break
-            else:
-                small_run = 0
-    converged = last_shell <= params.tol * max(1.0, abs(value))
+        converged = last_shell <= params.tol * max(1.0, abs(value))
+        small_run = small_run + 1 if converged else 0
+        if early_stop and small_run >= 2:
+            break
     return SeriesResult(
         value=value,
         last_shell=last_shell,
-        truncation_degree=degree,
+        truncation_degree=k,
         converged=converged,
         shells=tuple(shells) if collect_shells else None,
     )

@@ -164,12 +164,8 @@ def gen_pochhammer(a, kappa: Partition, alpha):
     partition gives 1.  Total function: no poles, zeros allowed.
     """
     al = _alpha_value(alpha)
-    out = 1.0
-    for i, part in enumerate(kappa.parts):
-        base = a - i / al
-        for j in range(part):
-            out = out * (base + j)
-    return out
+    return math.prod((gen_pochhammer_factor(a, i, j, al) for i, part in enumerate(kappa.parts, 1)
+                      for j in range(1, part + 1)), start=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -181,12 +181,14 @@ def hua_integral_rhs(sp: SphericalParams, pt: RadialPoint, *, k_max: int | None 
     return val
 
 
-def _check_step(h: float):
+def _check_step(h: float, point):
+    """h > 0, h^2 a normal float (the stencils divide by it), and h >= ulp(p), so p +- h != p, at each centre p."""
     if not h > 0:
         raise InvalidArgumentError(f"the finite-difference step must be positive, got {h}")
-    if h * h < sys.float_info.min:  # the stencils divide by h^2
-        raise InvalidArgumentError(f"the finite-difference step must be at least "
-                                   f"{math.sqrt(sys.float_info.min):.5g} so that h^2 is a normal float, got {h}")
+    smallest = max([math.sqrt(sys.float_info.min)] + [math.ulp(p) for p in point])
+    if h < smallest:
+        raise InvalidArgumentError(f"the finite-difference step must be at least {smallest!r} so that h^2 is a "
+                                   f"normal float and p +- h differs from each coordinate p = {point}, got {h}")
 
 
 def _fd_differences(fn, point: tuple[float, ...], h: float, apart, max_x: float):
@@ -237,7 +239,7 @@ def radial_residual_report(sp: SphericalParams, pt: RadialPoint, h: float = 1e-3
     |sinh^2 t_j - sinh^2 t_k| >= 10h for j != k.
     """
     t, nu, m = pt.t, sp.nu, sp.multiplicity
-    _check_step(h)
+    _check_step(h, t)
     _check_rank(sp, t)
     if min(map(abs, t)) < 10.0 * h:
         raise GeometryError(f"|t_k| < 10h at {t}: too close to the coth singularity")
@@ -278,7 +280,7 @@ def x_system_residual(sp: SphericalParams, x, h: float = 1e-3) -> np.ndarray:
     (the stencil stays off 0 and inside the unit polydisk), pairwise separated by at least 10h.
     """
     xs = _finite_point(x)
-    _check_step(h)
+    _check_step(h, xs)
     _check_rank(sp, xs)
     if max(xs) > -10.0 * h or min(xs) - h <= -1.0:
         raise GeometryError(f"x_k must stay in (-1 + h, -10h], got {xs}")
@@ -302,11 +304,8 @@ _ONE = BoundaryFunction(fn=lambda u: 1.0, tag="1", batch=lambda us: np.ones(us.s
 
 
 def disk_poisson_value(lam: complex, z: complex, nodes: int = 512) -> complex:
-    """Scalar Poisson integral on the disk with f = 1, nu = 0, by quadrature."""
-    zc = complex(z)
-    if abs(zc) >= 1.0:
-        raise InvalidArgumentError(f"|z| must be < 1, got {abs(zc)}")
-    return poisson_transform(DomainSpec.disk(), LineBundleParams(lam=lam, nu=0), _ONE, zc, 0, 0, nodes=nodes).mean
+    """Scalar Poisson integral on the disk with f = 1, nu = 0, by quadrature; the kernel rejects |z| >= 1."""
+    return poisson_transform(DomainSpec.disk(), LineBundleParams(lam=lam, nu=0), _ONE, z, 0, 0, nodes=nodes).mean
 
 
 def disk_casimir_residual(lam: complex, z: complex, h: float = 1e-3, *, nodes: int = 512) -> complex:
@@ -317,7 +316,7 @@ def disk_casimir_residual(lam: complex, z: complex, h: float = 1e-3, *, nodes: i
     ((lam^2 - 1)/4) * P(z).
     """
     zc = complex(z)
-    _check_step(h)
+    _check_step(h, (zc.real, zc.imag))
     if abs(zc) + 2.0 * h >= 1.0:
         raise InvalidArgumentError("need |z| + 2h < 1")
     p0 = disk_poisson_value(lam, zc, nodes)

@@ -21,6 +21,7 @@ import numpy as np
 from .domains import _as_matrix, _unitary_defect, char_poly_coeffs
 from .errors import DomainError, InvalidArgumentError, NonFiniteResultError, NumericalError
 from .hypergeom import hyp2f1_classical
+from .partitions import Partition, gen_pochhammer
 
 __all__ = [
     "SignatureM",
@@ -118,13 +119,6 @@ def phi_m_batch(sig: SignatureM, us: np.ndarray, *, coeffs: list[np.ndarray] | N
     return out / weyl_dim(sig)
 
 
-def _poch(a: complex, k: int) -> complex:
-    out = 1.0 + 0.0j
-    for j in range(k):
-        out *= a + j
-    return out
-
-
 def phi_lambda_k(lam: complex, k: int, t: float, n: int) -> complex:
     """One-variable building block of the determinant formula.
 
@@ -141,7 +135,9 @@ def phi_lambda_k(lam: complex, k: int, t: float, n: int) -> complex:
         raise DomainError(f"tanh^2 t must be < 1, got {x} at t={t}")
     series = hyp2f1_classical(s, s + k, 1 + k, x)  # before the prefactor: a huge |lam| stops here, with no warning
     with np.errstate(all="ignore"):  # a value NumPy would warn about is non-finite, and rejected next
-        out = complex(np.exp(s * np.log1p(-x)) * _poch(s, k) / math.factorial(k) * th**k * series)
+        # a complex base: (s)_k stays complex at a real lambda, so k! divides it as a complex value
+        poch = gen_pochhammer(complex(s), Partition((k,)), 1.0)
+        out = complex(np.exp(s * np.log1p(-x)) * poch / math.factorial(k) * th**k * series)
     if not cmath.isfinite(out):
         raise NonFiniteResultError(f"the determinant formula is non-finite: phi_(lambda, k)(t) = {out} at "
                                    f"lambda = {lam}, k = {k}, t = {t}")

@@ -150,7 +150,6 @@ def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
     if samples < 2:
         raise InvalidArgumentError(f"samples must be >= 2, got {samples}")
     _check_workers(workers)
-    seed = int(seed) & _MASK64
     nblocks = (samples + BLOCK - 1) // BLOCK
 
     # NumPy's floating-point warnings are off while blocks are evaluated and merged (errstate is

@@ -1,8 +1,14 @@
 """The package root re-exports every public name of its modules, each as the module's own object."""
 
 import importlib
+from pathlib import Path
+
+import pytest
 
 import tubekernels
+from tubekernels import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The root's __all__ before it was built from the modules' lists, by module.
 _PUBLISHED = {
@@ -35,3 +41,13 @@ def test_root_all_is_the_modules_lists_after_the_version():
     namespace = {}
     exec("from tubekernels import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(tubekernels.__all__)
+
+
+def test_the_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["tubekernels"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is cli.main
+    assert entry(["table", "--n", "3"]) == 0

@@ -17,7 +17,7 @@ import cmath
 from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, DomainError, InvalidArgumentError, NonFiniteResultError, ParameterError
-from .partitions import _finite_point, _partition_tuples, jack_C_all
+from .partitions import _finite_point, _shell, jack_C_all
 
 __all__ = [
     "HyperParams",
@@ -105,7 +105,7 @@ def hyp2f1_multi(params: HyperParams, x, *, early_stop: bool = True, collect_she
     for k in range(1, k_max + 1):
         shell = 0.0 + 0.0j
         new_ratios: dict[tuple[int, ...], complex | None] = {}
-        for parts in _partition_tuples(k, r):
+        for parts in _shell(k, r):
             ell = len(parts)
             j_new = parts[-1]
             parent = parts[:-1] if j_new == 1 else parts[:-1] + (j_new - 1,)

@@ -12,20 +12,21 @@ expanded symbolically, so degrees of 30+ stay cheap.
 
 One engine (after Koev & Edelman, Math. Comp. 75 (2006)) keeps, per alpha,
 what does not depend on x: each partition's column hook products, in one
-compact float array, and its C normalization; and the branching coefficients
-of every (level, degree) shell it has built, one float array per shell, up to
-2^21 coefficients (16 MiB) per engine.  Engines sit in an ``lru_cache``
-bounded to 4 alpha values, so the stored coefficients take 64 MiB at most.
+compact float array, and its C normalization, computed for all of a level's
+new partitions in NumPy passes over their zero-padded box grid; and the
+branching coefficients of every (level, degree) shell it has built, one float
+array per shell, up to 2^21 coefficients (16 MiB) per engine.  Engines sit in
+an ``lru_cache`` bounded to 4 alpha values, so the stored coefficients take
+64 MiB at most.  Each shell's partitions are enumerated once per process.
 A table builds the J values one variable at a time, each level from the one
-before, and covers every degree up to the requested kmax.  The table is
-shell-vectorized: every branching term of a (level, degree) shell is computed
-in NumPy passes of bounded size, its coefficient computed or read from the
-store, with the float operations of the scalar recursion in the same order,
-so the values are those of that recursion bit for bit.  Its cost follows
-(rank, alpha, kmax) and which shells the process has already built at that
-alpha, not the point.  For one and two variables there are closed
-coefficient formulas (a single monomial, resp. ultraspherical-type
-coefficients) that build whole tables at once.
+before, up to degree kmax.  Every branching term of a (level, degree) shell
+is computed in NumPy passes of bounded size, its coefficient read from the
+store or gathered from the hook products column by column, and every pass
+keeps the float operations of the scalar recursion in the same order, so the
+values are those of that recursion bit for bit.  The cost follows (rank,
+alpha, kmax) and which shells the process has built at that alpha, not the
+point.  For one and two variables closed coefficient formulas (a single
+monomial, resp. ultraspherical-type coefficients) build whole tables at once.
 """
 
 from __future__ import annotations
@@ -151,6 +152,12 @@ def _partition_tuples(k: int, max_length: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)  # keyed by degree (at most 200) and length; the tuples are immutable
+def _shell(k: int, max_length: int) -> tuple[tuple[int, ...], ...]:
+    """``_partition_tuples(k, max_length)``, enumerated once per process."""
+    return tuple(_partition_tuples(k, max_length))
+
+
 def gen_pochhammer_factor(a, row: int, col: int, alpha) -> complex:
     """The single-box factor ``a - (row - 1)/alpha + col - 1`` (1-based box)."""
     al = _alpha_value(alpha)
@@ -183,25 +190,33 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _column_hooks(parts: tuple[int, ...], conj: tuple[int, ...], al: float) -> tuple[list[float], list[float]]:
-    """Per-column products of upper and lower hook lengths.
+def _hook_pass(parts: np.ndarray, conj: np.ndarray, al: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column hook products and C normalizations of P partitions in one NumPy pass.
 
-    upper(i,j) = kappa'_j - i + al*(kappa_i - j + 1)
-    lower(i,j) = kappa'_j - i + 1 + al*(kappa_i - j)
+    parts holds the parts as rows (rows x P) and conj the conjugates (width x P),
+    both zero padded.  Box (i, j), 1-based, has the upper and lower hooks
+    leg + al*(arm + 1) and leg + 1 + al*arm, leg = conj_j - i, arm = parts_i - j.
+    Each column's two products fold its boxes top down, and the C normalization
+    folds al*m / (upper*lower) over the boxes row by row, m counting them, each
+    from 1.0; a lane past the partition gives an exact 1.0 factor.  Returns the
+    upper and lower products of every column, partition by partition, and the
+    P normalizations.
     """
-    ncols = len(conj)
-    upper = [1.0] * ncols
-    lower = [1.0] * ncols
-    for j in range(1, ncols + 1):
-        height = conj[j - 1]
-        u = 1.0
-        lo = 1.0
-        for i in range(1, height + 1):
-            u *= height - i + al * (parts[i - 1] - j + 1)
-            lo *= height - i + 1 + al * (parts[i - 1] - j)
-        upper[j - 1] = u
-        lower[j - 1] = lo
-    return upper, lower
+    i, j = np.arange(1, len(parts) + 1)[:, None, None], np.arange(1, len(conj) + 1)[:, None]
+    leg, arm = conj - i, parts[:, None] - j  # rows x width x P
+    inside, columns = arm >= 0, (conj > 0).T
+    with np.errstate(all="ignore"):  # the padded lanes, and overflow where Python floats give inf silently
+        upper, lower = leg + al * (arm + 1), leg + 1 + al * arm
+        norm = al * ((np.cumsum(parts, axis=0) - parts)[:, None] + j) / (upper * lower)
+        upper, lower, norm = (np.where(inside, v, 1.0) for v in (upper, lower, norm))
+        return (np.multiply.reduce(upper, axis=0).T[columns], np.multiply.reduce(lower, axis=0).T[columns],
+                np.multiply.reduce(norm.reshape(-1, parts.shape[1]), axis=0))
+
+
+def _column_hooks(parts: tuple[int, ...], conj: tuple[int, ...], al: float) -> tuple[list[float], list[float]]:
+    """Per-column products of upper and lower hook lengths: a one-partition ``_hook_pass``."""
+    upper, lower, _ = _hook_pass(np.array([parts or (0,)]).T, np.array([conj], np.int64).T, al)
+    return upper.tolist(), lower.tolist()
 
 
 def _horizontal_strips(parts: tuple[int, ...], max_length: int):
@@ -217,23 +232,13 @@ def _horizontal_strips(parts: tuple[int, ...], max_length: int):
 
 
 def _c_norm(parts: tuple[int, ...], conj: tuple[int, ...], al: float) -> float:
-    """Factor turning J into C: alpha^|kappa| |kappa|! / (c_kappa c'_kappa).
-
-    Fused as a per-box product (one factor alpha*m per box against that box's
-    two hooks) so no intermediate outgrows double precision.
-    """
-    out = 1.0
-    m = 0
-    for i, p in enumerate(parts, start=1):
-        for j in range(1, p + 1):
-            m += 1
-            arm = p - j
-            leg = conj[j - 1] - i
-            out *= al * m / ((leg + al * (arm + 1)) * (leg + 1 + al * arm))
-    return out
+    """Factor turning J into C, alpha^|kappa| |kappa|! / (c_kappa c'_kappa): a one-partition
+    ``_hook_pass``, fused as a per-box product so no intermediate outgrows double precision."""
+    return float(_hook_pass(np.array([parts or (0,)]).T, np.array([conj], np.int64).T, al)[2][0])
 
 
-# Pairs x columns of one NumPy pass of the branching kernel; bounds its scratch arrays.
+# Elements of one NumPy pass (pairs x columns of the branching kernel, rows x columns x
+# partitions of the hook pass); bounds its scratch arrays.
 _PASS_ELEMENTS = 1 << 15
 # Branching coefficients one engine stores (8 bytes each, 16 MiB); shells past it are computed and dropped.
 _BETA_STORE = 1 << 21
@@ -281,18 +286,21 @@ class _Engine(dict):
         self.betas, self.stored = {}, 0
 
     def _offsets(self, partitions: list[tuple[int, ...]]) -> np.ndarray:
-        """The hook offsets of the partitions, storing those not seen yet in one growth of the store."""
+        """The hook offsets of the partitions, storing those not seen yet in one growth of the
+        store, from ``_hook_pass`` over runs of them whose padded box grid fits one pass."""
         new = [parts for parts in partitions if parts not in self]
         if new:
-            offset = len(self.hooks) // 2
-            hooks = np.empty(len(self.hooks) + 2 * sum(parts[0] for parts in new if parts))
-            hooks[:len(self.hooks)] = self.hooks
-            for parts in new:
-                conj = _conjugate(parts)
-                end = offset + len(conj)
-                hooks[2 * offset:2 * end:2], hooks[2 * offset + 1:2 * end:2] = _column_hooks(parts, conj, self.al)
-                self[parts] = (offset, _c_norm(parts, conj, self.al))
-                offset = end
+            rows = max(1, *map(len, new))
+            kap = np.array([parts + (0,) * (rows - len(parts)) for parts in new]).T
+            width, start = kap[0], len(self.hooks)
+            hooks, norms = np.empty(start + 2 * int(width.sum())), np.empty(len(new))
+            hooks[:start] = self.hooks
+            for a, b in _passes(np.full(len(new), rows * max(int(width.max()), 1)), _PASS_ELEMENTS):
+                conj = (kap[:, None, a:b] > np.arange(width[a:b].max())[:, None]).sum(0)
+                upper, lower, norms[a:b] = _hook_pass(kap[:, a:b], conj, self.al)
+                hooks[start:start + 2 * len(upper):2], hooks[start + 1:start + 2 * len(upper):2] = upper, lower
+                start += 2 * len(upper)
+            self.update(zip(new, zip((len(self.hooks) // 2 + np.cumsum(width) - width).tolist(), norms.tolist())))
             self.hooks = hooks
         return np.array([self[parts][0] for parts in partitions], np.int64)
 
@@ -316,14 +324,10 @@ class _Engine(dict):
             low[mu_row, pairs] += 1
             low[k_row, pairs] -= 1
         np.cumsum(low, axis=0, out=low)
-        kcol, mcol = 2 * koff, 2 * moff
-        num, den = np.ones(len(pairs)), np.ones(len(pairs))
+        j = np.arange(width)[:, None]  # width x P gathers, each folded down its columns
         with np.errstate(all="ignore"):
-            for j in range(width):
-                num *= self.hooks[np.where(kappa[0] > j, kcol + low[j], 0)]
-                den *= self.hooks[np.where(mu[0] > j, mcol + low[j], 0)]
-                kcol += 2
-                mcol += 2
+            num = np.multiply.reduce(self.hooks[np.where(kappa[0] > j, 2 * (koff + j) + low[:width], 0)], axis=0)
+            den = np.multiply.reduce(self.hooks[np.where(mu[0] > j, 2 * (moff + j) + low[:width], 0)], axis=0)
             return num / den, den == 0.0
 
     def _beta(self, kappa: tuple[int, ...], mu: tuple[int, ...]) -> float:
@@ -352,11 +356,11 @@ class _Engine(dict):
             for j in range(k):
                 v *= 1.0 + j * self.al
             below.append(v)
-        shells = [[(k,) if k else ()] for k in range(kmax + 1)]
+        shells = [_shell(k, 1) for k in range(kmax + 1)]
         below, boff = np.array(below), self._offsets([parts for shell in shells for parts in shell])
         counts = _partition_counts(len(x) - 1, kmax)
         for n in range(2, len(x) + 1):
-            shells = [list(_partition_tuples(k, n)) for k in range(kmax + 1)]
+            shells = [_shell(k, n) for k in range(kmax + 1)]
             below, boff = self._level(n, x[n - 1], shells, below, boff, counts)
         return {parts: self[parts][1] * jack
                 for parts, jack in zip(itertools.chain.from_iterable(shells), below.tolist())}

@@ -315,6 +315,11 @@ def disk_casimir_residual(lam: complex, z: complex, h: float = 1e-3, *, nodes: i
     Poisson integral by the 5-point stencil and subtracts
     ((lam^2 - 1)/4) * P(z).
     """
+    return _disk_casimir(lam, z, h, nodes)[0]
+
+
+def _disk_casimir(lam: complex, z: complex, h: float, nodes: int) -> tuple[complex, complex]:
+    """``disk_casimir_residual`` and the centre value P(z) of its stencil."""
     zc = complex(z)
     _check_step(h, (zc.real, zc.imag))
     if abs(zc) + 2.0 * h >= 1.0:
@@ -324,4 +329,4 @@ def disk_casimir_residual(lam: complex, z: complex, h: float = 1e-3, *, nodes: i
     py = disk_poisson_value(lam, zc + 1j * h, nodes) + disk_poisson_value(lam, zc - 1j * h, nodes)
     lap = (px + py - 4.0 * p0) / h**2
     delta = (1.0 - abs(zc) ** 2) ** 2 * 0.25 * lap
-    return delta - casimir_eigenvalue(DomainSpec.disk(), LineBundleParams(lam, 0)) * p0
+    return delta - casimir_eigenvalue(DomainSpec.disk(), LineBundleParams(lam, 0)) * p0, p0

@@ -1,5 +1,6 @@
 """Each check and formula has one copy: the type-I action, the Pochhammer factor and the
-finite-difference step rule; and every argument check is reached, each in the layer that owns it."""
+finite-difference step rule; each value is computed once: the disk Casimir check's centre
+quadrature; and every argument check is reached, each in the layer that owns it."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from tubekernels import domains
+from tubekernels import cli, domains, radial
 from tubekernels.cli import EXIT_BAD_ARGS, main
 from tubekernels.domains import (DomainSpec, KernelPoint, LineBundleParams, cocycle_j, cocycle_residual,
                                  h_covariance_residual, kernel_covariance_residual, moebius_typeI,
@@ -68,6 +69,28 @@ def test_each_residual_checks_g_once_per_action(monkeypatch):
         assert run() < 1e-8
         counts.append(len(calls))
     assert counts == [3, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# one centre quadrature: the disk Casimir check reports the P(z) its stencil used
+# ---------------------------------------------------------------------------
+
+
+def test_check_casimir_disk_evaluates_each_stencil_point_once(monkeypatch, capsys):
+    calls = []
+    value = radial.disk_poisson_value
+
+    def spy(lam, z, nodes=512):
+        calls.append(z)
+        return value(lam, z, nodes)
+
+    monkeypatch.setattr(radial, "disk_poisson_value", spy)
+    monkeypatch.setattr(cli, "disk_poisson_value", spy, raising=False)
+    code, out, _ = _run(capsys, "check-casimir-disk", "--lambda", "2", "--z", "0.3,0.1")
+    assert code == 0
+    assert len(calls) == 5 and len(set(calls)) == 5
+    p0 = json.loads(out)["poisson_value"]
+    assert complex(p0["re"], p0["im"]) == value(2.0, 0.3 + 0.1j)
 
 
 def test_moebius_and_cocycle_are_the_two_parts_of_one_action_bitwise():

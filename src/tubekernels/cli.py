@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -553,10 +554,13 @@ def main(argv=None) -> int:
         command, output, out = args.pop("command"), args.pop("output", "json"), args.pop("out", None)
         report, code = _execute(command, _resolve(command, args))
         rendered = render_report(report, output)
-        print(rendered)
         if out:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(rendered + "\n")
+        try:
+            print(rendered, flush=True)
+        except BrokenPipeError:  # the reader closed stdout early: drop what is left, keep the exit code
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except tuple(_EXIT_CODES) as exc:
         detail = f"{type(exc).__name__}: {exc}" if type(exc).__module__ == "builtins" else exc

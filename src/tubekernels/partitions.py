@@ -12,27 +12,29 @@ expanded symbolically, so degrees of 30+ stay cheap.
 
 One engine (after Koev & Edelman, Math. Comp. 75 (2006)) keeps, per alpha,
 what does not depend on x: each partition's column hook products, in one
-compact float array, and its C normalization, computed for all of a level's
-new partitions in NumPy passes over their zero-padded box grid; and the
-branching coefficients of every (level, degree) shell it has built, one float
-array per shell, up to 2^21 coefficients (16 MiB) per engine.  Engines sit in
-an ``lru_cache`` bounded to 4 alpha values, so the stored coefficients take
-64 MiB at most.  Each shell's partitions are enumerated once per process.
-A table builds the J values one variable at a time, each level from the one
-before, up to degree kmax.  Every branching term of a (level, degree) shell
-is computed in NumPy passes of bounded size, its coefficient read from the
-store or gathered from the hook products column by column, and every pass
-keeps the float operations of the scalar recursion in the same order, so the
-values are those of that recursion bit for bit.  The cost follows (rank,
-alpha, kmax) and which shells the process has built at that alpha, not the
-point.  For one and two variables closed coefficient formulas (a single
-monomial, resp. ultraspherical-type coefficients) build whole tables at once.
+compact float array, and its C normalization, computed in NumPy passes over
+zero-padded box grids; each level's hook offsets and C norms as arrays; and
+the branching coefficients of every (level, degree) shell it has built, one
+float array per shell, up to 2^21 (16 MiB) per engine.  Engines sit in an
+``lru_cache`` bounded to 4 alpha values, so the stored coefficients take
+64 MiB at most.  Each shell's partitions, and each level's layout (padded
+parts, strip counts, passes), are built once per process.  A table builds
+the J values one variable at a time, each level from the one before, up to
+degree kmax, in NumPy passes of bounded size that may span shells; a pass
+reads its coefficients from the store or gathers them from the hook products
+shell by shell, and keeps the float operations of the scalar recursion in
+order, so the values are those of that recursion bit for bit.  The cost
+follows (rank, alpha, kmax) and which shells the process has built at that
+alpha, not the point.  For one and two variables closed coefficient formulas
+(a single monomial, resp. ultraspherical-type coefficients) build whole
+tables at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -133,10 +135,7 @@ def enumerate_partitions(k: int, max_length: int) -> list[Partition]:
         raise InvalidArgumentError(f"weight must be nonnegative, got {k}")
     if max_length < 1:
         raise InvalidArgumentError(f"max_length must be >= 1, got {max_length}")
-    out: list[Partition] = []
-    for parts in _partition_tuples(k, max_length):
-        out.append(Partition(parts))
-    return out
+    return [Partition(parts) for parts in _partition_tuples(k, max_length)]
 
 
 def _partition_tuples(k: int, max_length: int, max_part: int | None = None):
@@ -154,8 +153,11 @@ def _partition_tuples(k: int, max_length: int, max_part: int | None = None):
 
 @lru_cache(maxsize=None)  # keyed by degree (at most 200) and length; the tuples are immutable
 def _shell(k: int, max_length: int) -> tuple[tuple[int, ...], ...]:
-    """``_partition_tuples(k, max_length)``, enumerated once per process."""
-    return tuple(_partition_tuples(k, max_length))
+    """``_partition_tuples(k, max_length)``, enumerated once per process from the shells below it."""
+    if k == 0:
+        return ((),)
+    return tuple((first,) + rest for first in range(k, 0, -1) if first * max_length >= k
+                 for rest in _shell(k - first, max_length - 1) if not rest or rest[0] <= first)
 
 
 def gen_pochhammer_factor(a, row: int, col: int, alpha) -> complex:
@@ -237,11 +239,12 @@ def _c_norm(parts: tuple[int, ...], conj: tuple[int, ...], al: float) -> float:
     return float(_hook_pass(np.array([parts or (0,)]).T, np.array([conj], np.int64).T, al)[2][0])
 
 
-# Elements of one NumPy pass (pairs x columns of the branching kernel, rows x columns x
-# partitions of the hook pass); bounds its scratch arrays.
+# Elements of one NumPy pass (strips x widest kappa of the branching kernel, kappas x (most strips + 1)
+# of the sum grid, rows x columns x partitions of the hook pass); bounds its scratch arrays.
 _PASS_ELEMENTS = 1 << 15
 # Branching coefficients one engine stores (8 bytes each, 16 MiB); shells past it are computed and dropped.
 _BETA_STORE = 1 << 21
+_PLANS = {}  # (level n, pass size) -> _plan(n, kmax) for the largest kmax asked
 
 
 def _partition_counts(max_length: int, kmax: int) -> np.ndarray:
@@ -255,14 +258,33 @@ def _partition_counts(max_length: int, kmax: int) -> np.ndarray:
     return counts
 
 
-def _passes(weights: np.ndarray, budget: int):
-    """Consecutive runs [a, b) of items whose weights sum to at most budget, one item at least."""
-    ends = np.cumsum(weights)
-    a = 0
-    while a < len(weights):
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - weights[a] + budget, "right")))
-        yield a, b
-        a = b
+def _passes(width: list[int], strips: list[int], budget: int):
+    """Consecutive runs [a, b) of items whose widest x strips and count x (most strips + 1) both
+    fit budget; an item past it alone is a run."""
+    a = wide = total = most = 0
+    for b, (w, s) in enumerate(zip(width, strips)):
+        wide, total, most = w if w > wide else wide, total + s, s if s > most else most
+        if (wide * total > budget or (b + 1 - a) * (most + 1) > budget) and b > a:
+            yield a, b
+            a, wide, total, most = b, w, s, s
+    yield a, len(width)
+
+
+def _plan(n: int, kmax: int) -> tuple:
+    """Level n's kappas to degree kmax at least, degree by degree in reverse-lex order: their parts as
+    zero-padded rows (n x P), strip counts, first strips (then the total), degrees, each shell's first
+    kappa (then P), passes, and ``_partition_counts(n - 1, kmax)`` with the slot where each degree starts
+    at level n - 1.  Laid out once per process and pass size, again when kmax outgrows it."""
+    plan = _PLANS.get((n, _PASS_ELEMENTS))
+    if plan is None or len(plan[4]) < kmax + 2:
+        sizes = [len(_shell(k, n)) for k in range(kmax + 1)]
+        kap = np.array([parts + (0,) * (n - len(parts)) for k in range(kmax + 1) for parts in _shell(k, n)]).T
+        strips, counts = np.prod(kap[:-1] - kap[1:] + 1, axis=0), _partition_counts(n - 1, kmax)
+        passes = list(_passes(np.maximum(kap[0], 1).tolist(), strips.tolist(), _PASS_ELEMENTS))
+        plan = _PLANS[n, _PASS_ELEMENTS] = (
+            kap, strips, np.concatenate(([0], np.cumsum(strips))), np.repeat(np.arange(kmax + 1), sizes),
+            [0, *itertools.accumulate(sizes)], passes, counts, np.cumsum([0, *counts[n - 1].diagonal()]))
+    return plan
 
 
 class _Engine(dict):
@@ -279,11 +301,11 @@ class _Engine(dict):
         # products at 2 (o + j) and 2 (o + j) + 1.  Offset 0 is a padding
         # column of exact 1.0 factors.
         self.hooks = np.ones(2)
-        # (level n, degree k) -> the branching coefficients of every strip of the
-        # shell, in the order _level walks them, and a mask of the zero
-        # denominators among them (None where there is none); self.stored counts
-        # the coefficients held.
-        self.betas, self.stored = {}, 0
+        # (level n, degree k) -> the branching coefficients of every strip of the shell, in the order
+        # _level walks them, and a mask of the zero denominators among them (None where there is none);
+        # self.stored counts the coefficients held.  Level n -> the degree reached, and the hook
+        # offsets and C norms of the level's kappas to it.
+        self.betas, self.stored, self.levels = {}, 0, {}
 
     def _offsets(self, partitions: list[tuple[int, ...]]) -> np.ndarray:
         """The hook offsets of the partitions, storing those not seen yet in one growth of the
@@ -295,7 +317,7 @@ class _Engine(dict):
             width, start = kap[0], len(self.hooks)
             hooks, norms = np.empty(start + 2 * int(width.sum())), np.empty(len(new))
             hooks[:start] = self.hooks
-            for a, b in _passes(np.full(len(new), rows * max(int(width.max()), 1)), _PASS_ELEMENTS):
+            for a, b in _passes((rows * np.maximum(width, 1)).tolist(), [1] * len(new), _PASS_ELEMENTS):
                 conj = (kap[:, None, a:b] > np.arange(width[a:b].max())[:, None]).sum(0)
                 upper, lower, norms[a:b] = _hook_pass(kap[:, a:b], conj, self.al)
                 hooks[start:start + 2 * len(upper):2], hooks[start + 1:start + 2 * len(upper):2] = upper, lower
@@ -321,9 +343,10 @@ class _Engine(dict):
         width, pairs = int(kappa[0].max(initial=0)), np.arange(kappa.shape[1])
         low = np.zeros((width + 1, len(pairs)), np.int8)
         for k_row, mu_row in zip(kappa, mu):  # +1 where a row's lost boxes start, -1 past them
-            low[mu_row, pairs] += 1
-            low[k_row, pairs] -= 1
-        np.cumsum(low, axis=0, out=low)
+            low.reshape(-1)[mu_row * len(pairs) + pairs] += 1
+            low.reshape(-1)[k_row * len(pairs) + pairs] -= 1
+        for j in range(1, width):  # summed down each column, a row at a time
+            low[j] += low[j - 1]
         j = np.arange(width)[:, None]  # width x P gathers, each folded down its columns
         with np.errstate(all="ignore"):
             num = np.multiply.reduce(self.hooks[np.where(kappa[0] > j, 2 * (koff + j) + low[:width], 0)], axis=0)
@@ -339,84 +362,92 @@ class _Engine(dict):
             raise ZeroDivisionError("float division by zero")
         return float(beta[0])
 
+    def _level_arrays(self, n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """The hook offsets and C norms of level n's kappas, to degree kmax at least: grown once per
+        engine as kmax grows, so a lower kmax reads a prefix."""
+        done, offs, norms = self.levels.get(n, (-1, np.zeros(0, np.int64), np.zeros(0)))
+        if kmax > done:
+            new = [parts for k in range(done + 1, kmax + 1) for parts in _shell(k, n)]
+            offs, norms = np.append(offs, self._offsets(new)), np.append(norms, [self[p][1] for p in new])
+            self.levels[n] = kmax, offs, norms
+        return offs, norms
+
     def table(self, x: tuple[float, ...], kmax: int) -> dict[tuple[int, ...], float]:
         """C_kappa(x) for every |kappa| <= kmax, with J built one variable at a time: level 1
         is J_(k)(x_1) = x_1^k prod_j (1 + j alpha), level n branches level n - 1 on x_n.
 
-        A level is an array over its partitions, degree by degree in reverse-lex
-        order.  Each degree shell of a level is summed in NumPy passes over all
-        its strips kappa/mu.  Every entry keeps the float operations, in order,
-        of total = 0.0; total += (sub * x_n**skip) * beta over the strips in
-        ``_horizontal_strips`` order: a strip skipped there (skip > 0 with
-        x_n = 0, or sub = 0) adds +0.0 here, which leaves the total unchanged.
-        """
-        below = []
-        for k in range(kmax + 1):
-            v = x[0] ** k
-            for j in range(k):
-                v *= 1.0 + j * self.al
-            below.append(v)
-        shells = [_shell(k, 1) for k in range(kmax + 1)]
-        below, boff = np.array(below), self._offsets([parts for shell in shells for parts in shell])
-        counts = _partition_counts(len(x) - 1, kmax)
+        A level is an array over its partitions, degree by degree in reverse-lex order,
+        summed in NumPy passes over the strips kappa/mu of runs of its kappas; a run may
+        span shells.  Every entry keeps the float operations, in order, of total = 0.0;
+        total += (sub * x_n**skip) * beta over the strips in ``_horizontal_strips`` order:
+        a strip skipped there (skip > 0 with x_n = 0, or sub = 0) adds +0.0 here, which
+        leaves the total unchanged.  C is the C norm times J, one IEEE multiply each."""
+        below = np.array([math.prod((1.0 + j * self.al for j in range(k)), start=x[0] ** k) for k in range(kmax + 1)])
         for n in range(2, len(x) + 1):
-            shells = [_shell(k, n) for k in range(kmax + 1)]
-            below, boff = self._level(n, x[n - 1], shells, below, boff, counts)
-        return {parts: self[parts][1] * jack
-                for parts, jack in zip(itertools.chain.from_iterable(shells), below.tolist())}
+            below = self._level(n, x[n - 1], kmax, below)
+        with np.errstate(all="ignore"):  # inf and NaN entries, silent as in Python floats
+            values = (self._level_arrays(len(x), kmax)[1][:len(below)] * below).tolist()
+        return dict(zip(itertools.chain.from_iterable(_shell(k, len(x)) for k in range(kmax + 1)), values))
 
-    def _level(self, n, xn, shells, below, boff, counts) -> tuple[np.ndarray, np.ndarray]:
-        """J at level n, shell by shell, and its hook offsets, from level n - 1's values and
-        hook offsets by slot.  The slot of mu there: the partitions of lower degree, then
-        those of its degree before it in reverse-lex order, counted part by part.
+    def _level(self, n: int, xn: float, kmax: int, below: np.ndarray) -> np.ndarray:
+        """J at level n to degree kmax, walked in the passes of its ``_plan``, from level n - 1's
+        values by slot.  The slot of mu there: the partitions of lower degree, then those of
+        its degree before it in reverse-lex order, counted part by part."""
+        plan, building = _plan(n, kmax), {}
+        kap, strips, pairs, degree, first, passes, counts, starts = plan
+        boff, loff = self._level_arrays(n - 1, kmax)[0], self._level_arrays(n, kmax)[0]
+        powers = np.array([xn**s for s in range(kmax + 1)])
+        level = np.empty(first[kmax + 1])
+        for a, b in passes:
+            if a >= len(level):
+                break
+            b = min(b, len(level))
+            q = np.repeat(np.arange(a, b), strips[a:b])  # each strip's kappa, then its index
+            index = np.arange(len(q)) - (pairs[a:b] - pairs[a])[q - a]
+            kq, mu, digits = kap[:, q], np.zeros((n, len(q)), np.int64), index
+            for i in range(n - 2, -1, -1):  # the last row fastest, each counting down
+                digits, d = np.divmod(digits, kq[i] - kq[i + 1] + 1)
+                mu[i] = kq[i] - d
+            deg = mu.sum(0)
+            slot, rem, top = starts[deg], deg, deg
+            for i in range(n - 1):
+                slot = slot + counts[n - 1 - i, rem, top] - counts[n - 1 - i, rem, mu[i]]
+                rem, top = rem - mu[i], mu[i]
+            beta, zero = self._pass_betas(n, plan, a, b, (kq, mu, loff[q], boff[slot]), building)
+            skip, sub = degree[q] - deg, below[slot]
+            keep = (sub != 0.0) & ((skip == 0) | (xn != 0.0))
+            if zero is not None and zero[keep].any():
+                raise ZeroDivisionError("float division by zero")
+            grid = np.zeros((b - a, int(strips[a:b].max()) + 1))  # a row per kappa, led by +0.0
+            with np.errstate(all="ignore"):
+                grid[q - a, index + 1] = np.where(keep, (sub * powers[skip]) * beta, 0.0)
+                level[a:b] = np.add.accumulate(grid, axis=1, out=grid)[:, -1]
+        return level
 
-        The branching coefficients of a shell are read from the store, or computed for
-        every strip and stored if the store has room for them."""
-        starts = np.concatenate(([0], np.cumsum(counts[n - 1].diagonal())))
-        loff = self._offsets([parts for shell in shells for parts in shell])
-        powers = np.array([xn**s for s in range(len(shells))])
-        level = np.empty(len(loff))
-        first = 0
-        for k, shell in enumerate(shells):
-            kap = np.array([parts + (0,) * (n - len(parts)) for parts in shell]).T
-            strips = np.prod(kap[:-1] - kap[1:] + 1, axis=0)
-            pairs = np.concatenate(([0], np.cumsum(strips)))  # each kappa's first strip in the shell
-            stored = self.betas.get((n, k))
-            fill = stored is None and self.stored + pairs[-1] <= _BETA_STORE  # past the budget, dropped
-            if fill:
-                betas, zeros = np.empty(pairs[-1]), np.zeros(pairs[-1], bool)
-            for a, b in _passes(strips * np.maximum(kap[0], 1), _PASS_ELEMENTS):
-                q = np.repeat(np.arange(a, b), strips[a:b])  # each strip's kappa, then its index
-                index = np.arange(len(q)) - (pairs[a:b] - pairs[a])[q - a]
-                kq, mu, digits = kap[:, q], np.zeros((n, len(q)), np.int64), index
-                for i in range(n - 2, -1, -1):  # the last row fastest, each counting down
-                    digits, d = np.divmod(digits, kq[i] - kq[i + 1] + 1)
-                    mu[i] = kq[i] - d
-                deg = mu.sum(0)
-                slot, rem, top = starts[deg], deg, deg
-                for i in range(n - 1):
-                    slot = slot + counts[n - 1 - i, rem, top] - counts[n - 1 - i, rem, mu[i]]
-                    rem, top = rem - mu[i], mu[i]
-                lo, hi = pairs[a], pairs[b]
-                if stored is None:
-                    beta, zero = self._betas(kq, mu, loff[first + q], boff[slot])
-                    if fill:
-                        betas[lo:hi], zeros[lo:hi] = beta, zero
-                else:
-                    beta, zero = stored[0][lo:hi], None if stored[1] is None else stored[1][lo:hi]
-                skip, sub = k - deg, below[slot]
-                keep = (sub != 0.0) & ((skip == 0) | (xn != 0.0))
-                if zero is not None and zero[keep].any():
-                    raise ZeroDivisionError("float division by zero")
-                grid = np.zeros((b - a, int(strips[a:b].max()) + 1))  # a row per kappa, led by +0.0
-                with np.errstate(all="ignore"):
-                    grid[q[keep] - a, index[keep] + 1] = (sub[keep] * powers[skip[keep]]) * beta[keep]
-                    level[first + a:first + b] = np.add.accumulate(grid, axis=1, out=grid)[:, -1]
-            if fill:  # a mask is kept only where a denominator is zero
-                self.betas[n, k] = betas, zeros if zeros.any() else None
-                self.stored += pairs[-1]
-            first += len(shell)
-        return level, loff
+    def _pass_betas(self, n, plan, a, b, args, building) -> tuple[np.ndarray, np.ndarray | None]:
+        """The branching coefficients of the strips of kappas [a, b) of level n, and where their denominator
+        is zero (None where no shell of the pass has one).  A shell's are sliced from the store, or computed by
+        ``_betas`` on its part of args and, if the store had room as it began, stored once complete."""
+        betas, zeros, (pairs, degree, first) = [], [], plan[2:5]
+        for k in range(degree[a], degree[b - 1] + 1):
+            s0, s1, base, end = max(a, first[k]), min(b, first[k + 1]), pairs[first[k]], pairs[first[k + 1]]
+            lo, hi = pairs[s0] - base, pairs[s1] - base
+            beta, zero = self.betas.get((n, k), (None, None))
+            if beta is not None:
+                betas.append(beta[lo:hi]), zeros.append(None if zero is None else zero[lo:hi])
+                continue
+            beta, zero = self._betas(*(v[..., pairs[s0] - pairs[a]:pairs[s1] - pairs[a]] for v in args))
+            if lo == 0 and self.stored + end - base <= _BETA_STORE:  # past the budget, dropped
+                building[k] = np.empty(end - base), np.empty(end - base, bool)
+            if k in building:
+                building[k][0][lo:hi], building[k][1][lo:hi] = beta, zero
+                if hi == end - base:  # a mask is kept only where a denominator is zero
+                    full, mask = building.pop(k)
+                    self.betas[n, k], self.stored = (full, mask if mask.any() else None), self.stored + end - base
+            betas.append(beta), zeros.append(zero)
+        zero = None if all(z is None for z in zeros) else np.concatenate(
+            [np.zeros(len(v), bool) if z is None else z for v, z in zip(betas, zeros)])
+        return (betas[0] if len(betas) == 1 else np.concatenate(betas)), zero
 
 
 # Bounded: an engine grows with the partitions reached, so keep few alphas.
@@ -456,14 +487,8 @@ def _rank2_table(al: float, x1: float, x2: float, kmax: int) -> dict[tuple[int, 
     and the column-strip identity P_(k1,k2) = (x y)^k2 P_(k1-k2).
     """
     beta = 1.0 / al
-    g = [1.0] * (kmax + 1)
-    for i in range(1, kmax + 1):
-        g[i] = g[i - 1] * (beta + i - 1) / i
-    xp = [1.0] * (kmax + 1)
-    yp = [1.0] * (kmax + 1)
-    for i in range(1, kmax + 1):
-        xp[i] = xp[i - 1] * x1
-        yp[i] = yp[i - 1] * x2
+    g = list(itertools.accumulate(range(1, kmax + 1), lambda v, i: v * (beta + i - 1) / i, initial=1.0))
+    xp, yp = (list(itertools.accumulate([v] * kmax, operator.mul, initial=1.0)) for v in (x1, x2))
     p_one_row = [0.0] * (kmax + 1)
     for d in range(kmax + 1):
         s = 0.0
@@ -555,13 +580,9 @@ def _jack_table_cached(al: float, xs: tuple[float, ...], kmax: int):
     r = len(xs)
     if r == 0:
         return MappingProxyType({(): 1.0})
-    if r == 1:
-        table = {(): 1.0}
-        v = 1.0
-        for k in range(1, kmax + 1):
-            v *= xs[0]
-            table[(k,)] = v
-        return MappingProxyType(table)
+    if r == 1:  # x_1^k by repeated multiplication
+        return MappingProxyType(dict(zip([(k,) if k else () for k in range(kmax + 1)],
+                                         itertools.accumulate([xs[0]] * kmax, operator.mul, initial=1.0))))
     if r == 2:
         return MappingProxyType(_rank2_table(al, xs[0], xs[1], kmax))
     return MappingProxyType(_engine(al).table(xs, kmax))

@@ -1,7 +1,11 @@
 """Bad inputs that used to crash, warn or print non-JSON now exit 3 with one `error:` line."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +148,20 @@ def test_a_step_whose_square_underflows_is_a_bad_argument(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: the finite-difference step must be at least ")
     smallest = float(err.split("at least ")[1].split()[0])
     assert smallest * smallest >= 2.0**-1022  # the step named is accepted
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(tmp_path):
+    """The report goes to --out first; a closed pipe then drops the rest, and the exit code stands."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command starts
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tubekernels.cli", "table", "--n", "3", "--out",
+                               str(tmp_path / "report.json")], stdout=write, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_PASS
+    assert proc.stderr == ""
+    assert json.loads((tmp_path / "report.json").read_text())["rows"]

@@ -39,10 +39,6 @@ class NonFiniteResultError(ArithmeticError):
     """A result to be reported is NaN or inf, so there is no answer to give."""
 
 
-class NumericalError(RuntimeError):
-    """A computed quantity that must be exact is not (e.g. a non-integral Weyl dimension)."""
-
-
 class NonFiniteSampleError(RuntimeError):
     """A Monte Carlo integrand returned a non-finite value.
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .domains import _as_matrix, _unitary_defect, char_poly_coeffs
-from .errors import DomainError, InvalidArgumentError, NonFiniteResultError, NumericalError
+from .domains import _as_matrix, _check_unitary, char_poly_coeffs
+from .errors import DomainError, InvalidArgumentError, NonFiniteResultError
 from .hypergeom import hyp2f1_classical
 from .partitions import Partition, gen_pochhammer
 
@@ -33,7 +32,6 @@ __all__ = [
     "det_formula_rhs",
 ]
 
-_UNITARY_TOL = 1e-10
 _MAX_K = 170  # the largest k whose k! is a float; phi_(lambda, k) divides by it
 
 
@@ -57,15 +55,9 @@ class SignatureM:
 
 
 def weyl_dim(sig: SignatureM) -> int:
-    """Dimension prod_{i<j} (1 + (m_i - m_j)/(j - i)), computed exactly."""
-    n = sig.n
-    out = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= 1 + Fraction(sig.parts[i] - sig.parts[j], j - i)
-    if out.denominator != 1:
-        raise NumericalError(f"Weyl dimension of {sig.parts} is not integral: {out}")
-    return int(out)
+    """Dimension prod_{i<j} (m_i - m_j + j - i) / (j - i), an exact integer quotient."""
+    m, pairs = sig.parts, [(i, j) for j in range(sig.n) for i in range(j)]
+    return math.prod(m[i] - m[j] + j - i for i, j in pairs) // math.prod(j - i for i, j in pairs)
 
 
 def schur_char(sig: SignatureM, u) -> complex:
@@ -77,8 +69,7 @@ def phi_m(sig: SignatureM, u) -> complex:
     """Normalized character schur_char / weyl_dim (zonal-type, phi_m(I) = 1) of one
     unitary: the one-matrix view of :func:`phi_m_batch`."""
     um = _as_matrix(u, sig.n)
-    if _unitary_defect(um) > _UNITARY_TOL:
-        raise InvalidArgumentError("u is not unitary")
+    _check_unitary(um)
     return complex(phi_m_batch(sig, um[None])[0])
 
 

@@ -1,10 +1,9 @@
 """Tube-type domain invariants, Jordan polynomial, and line-bundle Poisson kernels.
 
-``FAMILIES`` gives every tube-type family's rank and multiplicity at size n,
-``families_at`` those that exist at n, and the catalog derives eta and the
-genus 2 eta from them.  Kernel evaluators
-(``KERNEL_FAMILIES``) exist for the unit disk and the type I_{n,n} matrix ball
-{z : ||z||_op < 1}, whose Shilov boundary is U(n); the rest are records only.
+``FAMILIES`` gives every tube-type family's rank, multiplicity and kernel matrix side
+at size n, ``families_at`` those that exist at n, and the catalog derives eta and the genus 2 eta.
+Side 1 is the unit disk, side n the type I_{n,n} ball {z : ||z||_op < 1} with Shilov boundary
+U(n); the kernel entry points refuse the side-0 families, whose invariants still hold.
 
 Conventions pinned here:
 
@@ -89,23 +88,22 @@ class DomainSpec:
 
     @classmethod
     def of(cls, kind: str, n: int) -> "DomainSpec":
-        """The catalog record of ``kind`` as a spec; matrix_size is the rank, which is
-        the matrix side of the two families with kernel evaluators."""
+        """The catalog record of ``kind`` as a spec, its matrix_size the kernel side in ``FAMILIES``."""
         rec = catalog_record(kind, n)
         return cls(kind=kind, rank=rec["rank"], multiplicity=rec["multiplicity"], eta=rec["eta"],
-                   genus=rec["genus"], matrix_size=rec["rank"])
+                   genus=rec["genus"], matrix_size=FAMILIES[kind](n)[2])
 
 
-# Every tube-type family: its (rank, multiplicity) at size n.  e7 ignores n.
+# Every tube-type family: (rank, multiplicity, kernel matrix side or 0 for none) at size n.  e7 ignores n.
 FAMILIES = {
-    "disk": lambda n: (1, 2.0),
-    "typeI": lambda n: (n, 2.0),
-    "typeII": lambda n: (n, 4.0),
-    "typeIII": lambda n: (n, 1.0),
-    "typeIV": lambda n: (2, float(n - 2)),
-    "e7": lambda n: (3, 8.0),
+    "disk": lambda n: (1, 2.0, 1),
+    "typeI": lambda n: (n, 2.0, n),
+    "typeII": lambda n: (n, 4.0, 0),
+    "typeIII": lambda n: (n, 1.0, 0),
+    "typeIV": lambda n: (2, float(n - 2), 0),
+    "e7": lambda n: (3, 8.0, 0),
 }
-KERNEL_FAMILIES = ("disk", "typeI")  # the families with Poisson kernel evaluators
+KERNEL_FAMILIES = tuple(kind for kind, family in FAMILIES.items() if family(1)[2] > 0)
 
 
 def _record_error(kind: str, n: int) -> str | None:
@@ -124,18 +122,13 @@ def families_at(n: int) -> list[str]:
 
 
 def catalog_record(kind: str, n: int) -> dict:
-    """(rank, multiplicity, eta, genus) record of a family in ``FAMILIES``.
-
-    Only the ``KERNEL_FAMILIES`` carry kernel evaluators; the others are
-    bookkeeping entries (``typeIV`` requires n >= 3).
-    """
+    """The (rank, multiplicity, eta, genus, has_kernel: side > 0) record of a family at n (typeIV: n >= 3)."""
     error = _record_error(kind, n)
     if error:
         raise InvalidArgumentError(error)
-    r, m = FAMILIES[kind](n)
+    r, m, side = FAMILIES[kind](n)
     eta = _eta_of(m, r)
-    return {"kind": kind, "rank": r, "multiplicity": m, "eta": eta, "genus": 2.0 * eta,
-            "has_kernel": kind in KERNEL_FAMILIES}
+    return {"kind": kind, "rank": r, "multiplicity": m, "eta": eta, "genus": 2.0 * eta, "has_kernel": side > 0}
 
 
 @dataclass(frozen=True)
@@ -161,6 +154,13 @@ def _as_matrix(z, n: int | None = None) -> np.ndarray:
     return zm
 
 
+def _kernel_side(spec: DomainSpec) -> int:
+    """The matrix side of spec's kernel realization; the one refusal of a family with none."""
+    if spec.matrix_size < 1:
+        raise InvalidArgumentError(f"{spec.kind} has no kernel realization; only {', '.join(KERNEL_FAMILIES)} have")
+    return spec.matrix_size
+
+
 def _spectral_norm(z: np.ndarray) -> float:
     return float(np.linalg.norm(z, 2))
 
@@ -183,7 +183,7 @@ class KernelPoint:
         zm, um = _as_matrix(z), _as_matrix(u)
         if zm.shape != um.shape or zm.ndim != 2 or zm.shape[0] != zm.shape[1]:
             raise InvalidArgumentError(f"z and u must be square matrices of equal size, got {zm.shape}, {um.shape}")
-        if spec is not None and zm.shape != (spec.matrix_size, spec.matrix_size):
+        if spec is not None and zm.shape != (_kernel_side(spec),) * 2:
             raise InvalidArgumentError(f"point size {zm.shape} does not match domain size {spec.matrix_size}")
         if _spectral_norm(zm) >= 1.0:
             raise InvalidArgumentError("z must have spectral norm < 1")
@@ -235,7 +235,7 @@ def _h_batch(zm: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 def jordan_h(spec: DomainSpec, z, w) -> complex:
     """Jordan determinant polynomial h(z, w), holomorphic in z, conjugate in w."""
-    zm = _as_matrix(z, spec.matrix_size)
+    zm = _as_matrix(z, _kernel_side(spec))
     wm = _as_matrix(w, spec.matrix_size)
     return complex(_h_batch(zm, wm[None])[0])
 
@@ -258,7 +258,7 @@ def poisson_kernel_batch(
     ``u_batch``, for callers that read it for more than the kernel.  A z off
     the open domain, or a u with h(z, u) = 0, raises :class:`SingularKernelError`.
     """
-    n = spec.matrix_size
+    n = _kernel_side(spec)
     zm = _as_matrix(z, n)
     us = np.asarray(u_batch, dtype=complex)
     if us.ndim != 3 or us.shape[1:] != (n, n):

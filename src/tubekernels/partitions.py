@@ -93,12 +93,6 @@ class Partition:
     def conjugate(self) -> tuple[int, ...]:
         return _conjugate(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.parts}"
-
 
 @dataclass(frozen=True)
 class JackParameter:

@@ -17,11 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import DomainSpec, LineBundleParams, poisson_kernel_batch
+from .domains import DomainSpec, LineBundleParams, _kernel_side, poisson_kernel_batch
 from .errors import InvalidArgumentError, NonFiniteSampleError
 
 __all__ = [
     "BLOCK",
+    "MAX_NODES",
     "McEstimate",
     "BoundaryFunction",
     "haar_unitary",
@@ -35,6 +36,7 @@ __all__ = [
 # Fixed algorithmic block length; part of the reproducibility contract,
 # never tied to the worker count.
 BLOCK = 8192
+MAX_NODES = 1 << 20  # the most nodes circle_quadrature builds (16 MiB of complex nodes)
 
 _MASK64 = (1 << 64) - 1
 
@@ -204,15 +206,15 @@ def mc_integrate(
 
 
 def circle_quadrature(f: Callable[[complex], complex] | BoundaryFunction, nodes: int) -> complex:
-    """Trapezoidal rule on the unit circle with normalized measure.
+    """Trapezoidal rule on the unit circle with normalized measure, on 8 to ``MAX_NODES`` nodes.
 
     Equispaced angles make this spectrally accurate for analytic integrands
     (exact for trigonometric polynomials of degree < nodes).  ``f`` is a
     function of one point of the circle, or a BoundaryFunction on U(1), which
     sees the nodes as a (nodes, 1, 1) stack.
     """
-    if nodes < 8:
-        raise InvalidArgumentError(f"need at least 8 nodes, got {nodes}")
+    if not 8 <= nodes <= MAX_NODES:
+        raise InvalidArgumentError(f"need 8 to {MAX_NODES} nodes, got {nodes}")
     thetas = 2.0 * np.pi * np.arange(nodes) / nodes
     us = np.exp(1j * thetas)
     g = f if isinstance(f, BoundaryFunction) else BoundaryFunction(fn=lambda u: f(u[0, 0]))
@@ -236,8 +238,8 @@ def poisson_transform(
     """The Poisson integral of boundary data f at the interior point z.
 
     The integrand is the batched kernel times f.  Disk evaluations use exact
-    circle quadrature (stderr 0); type I uses Haar Monte Carlo with the
-    module's reproducible stream layout.  Either way ``workers`` must be >= 1.
+    circle quadrature (stderr 0); type I uses Haar Monte Carlo with the module's reproducible
+    stream layout; a family with no kernel realization is refused before any draw.  ``workers`` must be >= 1.
     """
     integrand = BoundaryFunction(
         fn=None, tag=f.tag, batch=lambda us: poisson_kernel_batch(spec, params, z, us) * _values(f, us)
@@ -245,4 +247,4 @@ def poisson_transform(
     if spec.kind == "disk":
         _check_workers(workers)
         return McEstimate(mean=circle_quadrature(integrand, nodes), stderr=0.0, samples=nodes, seed=int(seed))
-    return mc_integrate(integrand, spec.matrix_size, samples, seed, workers=workers)
+    return mc_integrate(integrand, _kernel_side(spec), samples, seed, workers=workers)

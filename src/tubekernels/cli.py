@@ -1,12 +1,14 @@
 """Command-line front end: evaluate series and run the verification experiments.
 
-Each command has one table of keys in ``_SCHEMA`` (reader, default, help).
-Its flags are built from that table, and ``_resolve`` reads a command line and
-a ``suite`` entry alike; the resolved keys are what the runner uses and what
-the report echoes.  Every command emits one machine-readable report (JSON
-canonical; csv/text are projections of the same dict).  Exit codes: 0 pass,
-1 fail, 2 no answer (no convergence, overflow, a non-finite result), 3 invalid
-arguments, such as an unknown, unreadable or missing key.
+``_command`` declares each command's keys (reader, default, help) and its
+runner in one place, on the runner itself, and fills ``_SCHEMA`` and
+``_RUNNERS`` from them.  A command's flags are built from its keys, and
+``_resolve`` reads a command line and a ``suite`` entry alike; the resolved
+keys are what the runner uses and what the report echoes.  Every command
+emits one machine-readable report (JSON canonical; csv/text are projections
+of the same dict).  Exit codes: 0 pass, 1 fail, 2 no answer (no convergence,
+overflow, a non-finite result), 3 invalid arguments, such as an unknown,
+unreadable or missing key.
 """
 
 from __future__ import annotations
@@ -168,35 +170,22 @@ _KEYS = {
 }
 
 
-def _keys(names: str, own: dict | None = None) -> dict:
-    """The keys ``names`` of ``_KEYS``, then ``own``: a command default for one
-    of them, or a Key of the command's own."""
-    keys = {name: _KEYS[name] for name in names.split()}
-    for name, spec in (own or {}).items():
-        keys[name] = spec if isinstance(spec, Key) else _KEYS[name]._replace(default=spec)
-    return keys
+_SCHEMA: dict[str, dict[str, Key]] = {}  # command -> its keys, in declaration order
+_RUNNERS: dict[str, Callable] = {}  # command -> its runner, in the same order
 
 
-_SCHEMA = {
-    "eval-2f1": _keys("a b c m x kmax tol seed", {"kmax": 30}),
-    "eval-spherical": _keys("r m lambda nu t kmax tol xform seed"),
-    "check-hua-integral": _keys(
-        "domain n lambda nu t samples workers seed kmax tol gate", {"tol": 1e-13, "gate": 1e-8}
-    ),
-    "check-schur-det": _keys(
-        "n sig lambda samples workers seed",
-        {"t": Key(_float, _REQUIRED, "radial coordinate of z = tanh(t) I")},
-    ),
-    "check-pde": _keys("r m lambda nu t fd_step gate richardson seed"),
-    "check-x-system": _keys("r m lambda nu x fd_step seed"),
-    "check-casimir-disk": _keys("lambda z fd_step nodes gate seed"),
-    "check-covariance": _keys("n lambda nu trials kernel_gate cocycle_gate seed"),
-    "table": _keys(
-        "domain n lambda nu seed",
-        {"domain": Key(_choice(*FAMILIES), None, "catalog entry (None: every kind)"), "lambda": None},
-    ),
-    "suite": _keys("config"),
-}
+def _command(name: str, keys: str, own: dict | None = None):
+    """Declare the command ``name`` on its runner: the keys ``keys`` of ``_KEYS``,
+    then ``own``, a command default for one of them or a Key of the command's own."""
+    schema = {key: _KEYS[key] for key in keys.split()}
+    for key, spec in (own or {}).items():
+        schema[key] = spec if isinstance(spec, Key) else _KEYS[key]._replace(default=spec)
+
+    def declare(runner):
+        _SCHEMA[name], _RUNNERS[name] = schema, runner
+        return runner
+
+    return declare
 
 
 def _resolve(command: str, raw: dict) -> dict:
@@ -286,6 +275,7 @@ def _execute(command: str, cfg: dict) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+@_command("eval-2f1", "a b c m x kmax tol seed", {"kmax": 30})
 def run_eval_2f1(cfg: dict) -> tuple[dict, bool | None, int]:
     params = HyperParams(
         a=cfg["a"], b=cfg["b"], c=cfg["c"], multiplicity_m=cfg["m"], k_max=cfg["kmax"], tol=cfg["tol"]
@@ -300,6 +290,7 @@ def run_eval_2f1(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, res.converged, EXIT_PASS if res.converged else EXIT_NO_CONVERGENCE
 
 
+@_command("eval-spherical", "r m lambda nu t kmax tol xform seed")
 def run_eval_spherical(cfg: dict) -> tuple[dict, bool | None, int]:
     sp = _spherical_params(cfg)
     pt = RadialPoint(cfg["t"])
@@ -316,6 +307,8 @@ def _check_resolved(rhs: complex, *ests) -> None:
         raise ConvergenceError(f"too noisy to decide: stderr {stderr:.3g} exceeds rho * max(1, |rhs|) = {bound:.3g}")
 
 
+@_command("check-hua-integral", "domain n lambda nu t samples workers seed kmax tol gate",
+          {"tol": 1e-13, "gate": 1e-8})
 def run_check_hua_integral(cfg: dict) -> tuple[dict, bool | None, int]:
     spec = DomainSpec.of(cfg["domain"], cfg["n"])
     lam, nu, t = cfg["lambda"], cfg["nu"], cfg["t"]
@@ -366,6 +359,8 @@ def schur_det_integrands(n: int, lam: complex, t: float, sig: SignatureM):
     return batch
 
 
+@_command("check-schur-det", "n sig lambda samples workers seed",
+          {"t": Key(_float, _REQUIRED, "radial coordinate of z = tanh(t) I")})
 def run_check_schur_det(cfg: dict) -> tuple[dict, bool | None, int]:
     n, lam, t = cfg["n"], cfg["lambda"], cfg["t"]
     sig = SignatureM(cfg["sig"])
@@ -391,6 +386,7 @@ def run_check_schur_det(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
+@_command("check-pde", "r m lambda nu t fd_step gate richardson seed")
 def run_check_pde(cfg: dict) -> tuple[dict, bool | None, int]:
     sp = _spherical_params(cfg)
     h = cfg["fd_step"]
@@ -412,6 +408,7 @@ def run_check_pde(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
+@_command("check-x-system", "r m lambda nu x fd_step seed")
 def run_check_x_system(cfg: dict) -> tuple[dict, bool | None, int]:
     sp = _spherical_params(cfg)
     res = x_system_residual(sp, cfg["x"], cfg["fd_step"])
@@ -424,6 +421,7 @@ def run_check_x_system(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, True, EXIT_PASS
 
 
+@_command("check-casimir-disk", "lambda z fd_step nodes gate seed")
 def run_check_casimir_disk(cfg: dict) -> tuple[dict, bool | None, int]:
     res, p0, eig = _disk_casimir(cfg["lambda"], cfg["z"], cfg["fd_step"], cfg["nodes"])
     rel = abs(res) / (max(1.0, abs(eig)) * abs(p0))
@@ -437,6 +435,7 @@ def run_check_casimir_disk(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
+@_command("check-covariance", "n lambda nu trials kernel_gate cocycle_gate seed")
 def run_check_covariance(cfg: dict) -> tuple[dict, bool | None, int]:
     n, trials = cfg["n"], cfg["trials"]
     if trials < 1:
@@ -463,6 +462,8 @@ def run_check_covariance(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
+@_command("table", "domain n lambda nu seed",
+          {"domain": Key(_choice(*FAMILIES), None, "catalog entry (None: every kind)"), "lambda": None})
 def run_table(cfg: dict) -> tuple[dict, bool | None, int]:
     n = cfg["n"]
     rows = []
@@ -477,6 +478,7 @@ def run_table(cfg: dict) -> tuple[dict, bool | None, int]:
     return {"rows": rows}, None, EXIT_PASS
 
 
+@_command("suite", "config")
 def run_suite(cfg: dict) -> tuple[dict, bool | None, int]:
     path = cfg["config"]
     try:
@@ -508,20 +510,6 @@ def run_suite(cfg: dict) -> tuple[dict, bool | None, int]:
     passed = worst == EXIT_PASS
     body = {"experiments": reports, "n_experiments": len(reports)}
     return body, passed, worst
-
-
-_RUNNERS = {
-    "eval-2f1": run_eval_2f1,
-    "eval-spherical": run_eval_spherical,
-    "check-hua-integral": run_check_hua_integral,
-    "check-schur-det": run_check_schur_det,
-    "check-pde": run_check_pde,
-    "check-x-system": run_check_x_system,
-    "check-casimir-disk": run_check_casimir_disk,
-    "check-covariance": run_check_covariance,
-    "table": run_table,
-    "suite": run_suite,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ its own contiguous row.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -23,6 +24,7 @@ from .errors import InvalidArgumentError, NonFiniteSampleError
 __all__ = [
     "BLOCK",
     "MAX_NODES",
+    "MAX_SAMPLES",
     "McEstimate",
     "BoundaryFunction",
     "haar_unitary",
@@ -37,6 +39,7 @@ __all__ = [
 # never tied to the worker count.
 BLOCK = 8192
 MAX_NODES = 1 << 20  # the most nodes circle_quadrature builds (16 MiB of complex nodes)
+MAX_SAMPLES = 1 << 28  # the most Haar samples an estimate draws: 32768 blocks, each a pool future of ~2 KB
 
 _MASK64 = (1 << 64) - 1
 
@@ -148,9 +151,9 @@ def _check_workers(workers: int) -> None:
 
 
 def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
-    """Evaluate `batch_values(us)` over Haar blocks in a pool of `workers` threads and merge in order."""
-    if samples < 2:
-        raise InvalidArgumentError(f"samples must be >= 2, got {samples}")
+    """Evaluate `batch_values(us)` over Haar blocks in a pool of `workers` threads, merged in order as they arrive."""
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {samples}")
     _check_workers(workers)
     nblocks = (samples + BLOCK - 1) // BLOCK
 
@@ -164,13 +167,8 @@ def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
         with np.errstate(all="ignore"):
             return _block_stats(batch_values(us), start)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one_block, range(nblocks)))
-    acc = results[0]
-    with np.errstate(all="ignore"):
-        for stats in results[1:]:
-            acc = _merge(acc, stats)
-        count, mean, m2 = acc
+    with ThreadPoolExecutor(max_workers=workers) as pool, np.errstate(all="ignore"):
+        count, mean, m2 = functools.reduce(_merge, pool.map(one_block, range(nblocks)))
         stderr = np.sqrt(m2 / (count - 1) / count)
     return mean, stderr, count
 

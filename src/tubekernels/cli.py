@@ -533,7 +533,7 @@ def _build_parser() -> _Parser:
     io_flags = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     io_flags.add_argument("--output", choices=["json", "csv", "text"], help="report format (default: json)")
     io_flags.add_argument("--out", help="also write the report to this path")
-    parser = _Parser(prog="tubekernels", description=__doc__)
+    parser = _Parser(prog="tubekernels", description=__doc__.splitlines()[0])  # the user-facing line only
     sub = parser.add_subparsers(dest="command", required=True)
     for command, keys in _SCHEMA.items():
         p = sub.add_parser(command, parents=[io_flags], argument_default=argparse.SUPPRESS)

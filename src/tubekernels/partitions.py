@@ -18,16 +18,20 @@ the branching coefficients of every (level, degree) shell it has built, one
 float array per shell, up to 2^21 (16 MiB) per engine.  Engines sit in an
 ``lru_cache`` bounded to 4 alpha values, so the stored coefficients take
 64 MiB at most.  Each shell's partitions, and each level's layout (padded
-parts, strip counts, passes), are built once per process.  A table builds
-the J values one variable at a time, each level from the one before, up to
-degree kmax, in NumPy passes of bounded size that may span shells; a pass
-reads its coefficients from the store or gathers them from the hook products
-shell by shell, and keeps the float operations of the scalar recursion in
-order, so the values are those of that recursion bit for bit.  The cost
-follows (rank, alpha, kmax) and which shells the process has built at that
-alpha, not the point.  For one and two variables closed coefficient formulas
-(a single monomial, resp. ultraspherical-type coefficients) build whole
-tables at once.
+parts, strip counts, passes), are built once per process.  So are each
+pass's strips kappa/mu, decoded to mu's slot at the level below, kept for
+every alpha and point while the process holds at most 2^21 of them, the
+coefficient budget's count (4 MiB at rank 3, 8 MiB at most); a pass past
+that decodes them again.  A table builds the J values
+one variable at a time, each level from the one before, up to degree kmax,
+in NumPy passes of bounded size that may span shells; a pass reads its
+coefficients from the store or gathers them from the hook products shell by
+shell, and keeps the float operations of the scalar recursion in order, so
+the values are those of that recursion bit for bit.  The cost follows
+(rank, alpha, kmax) and which shells the process has built at that alpha,
+and which passes, not the point.  For one and two variables closed
+coefficient formulas (a single monomial, resp. ultraspherical-type
+coefficients) build whole tables at once.
 """
 
 from __future__ import annotations
@@ -241,6 +245,16 @@ _BETA_STORE = 1 << 21
 _PLANS = {}  # (level n, pass size) -> _plan(n, kmax) for the largest kmax asked
 
 
+class _Strips(dict):
+    """(level n, first kappa, end kappa) of a pass -> its strips' slots at level n - 1, while
+    ``held``, the strips kept, stays within ``_BETA_STORE``."""
+
+    held = 0
+
+
+_STRIPS = _Strips()
+
+
 def _partition_counts(max_length: int, kmax: int) -> np.ndarray:
     """counts[l, d, p]: the number of partitions of d into at most l parts, each at most p."""
     counts = np.zeros((max_length + 1, kmax + 1, kmax + 1), np.int64)
@@ -279,6 +293,23 @@ def _plan(n: int, kmax: int) -> tuple:
             kap, strips, np.concatenate(([0], np.cumsum(strips))), np.repeat(np.arange(kmax + 1), sizes),
             [0, *itertools.accumulate(sizes)], passes, counts, np.cumsum([0, *counts[n - 1].diagonal()]))
     return plan
+
+
+def _strip_slots(n: int, plan: tuple, a: int, b: int, mu: np.ndarray) -> np.ndarray:
+    """The slot at level n - 1 of each strip kappa/mu of level n's kappas [a, b), mu holding its rows, kept in
+    ``_STRIPS`` as the smallest unsigned type that holds level n - 1's size, if the store has room for them.  The
+    slot of mu: the partitions of lower degree, then those of its degree before it in reverse-lex order, counted
+    part by part."""
+    counts, starts = plan[6], plan[7]
+    deg = mu.sum(0)
+    slot, rem, top = starts[deg], deg, deg
+    for i in range(n - 1):
+        slot = slot + counts[n - 1 - i, rem, top] - counts[n - 1 - i, rem, mu[i]]
+        rem, top = rem - mu[i], mu[i]
+    if _STRIPS.held + len(slot) <= _BETA_STORE:  # past the budget, decoded again by every table
+        slot = _STRIPS[n, a, b] = slot.astype(np.min_scalar_type(starts[-1]))
+        _STRIPS.held += len(slot)
+    return slot
 
 
 class _Engine(dict):
@@ -385,10 +416,13 @@ class _Engine(dict):
 
     def _level(self, n: int, xn: float, kmax: int, below: np.ndarray) -> np.ndarray:
         """J at level n to degree kmax, walked in the passes of its ``_plan``, from level n - 1's
-        values by slot.  The slot of mu there: the partitions of lower degree, then those of
-        its degree before it in reverse-lex order, counted part by part."""
+        values by slot.  A pass reads its strips' slots from ``_STRIPS``, or decodes them there
+        once per process (``_strip_slots``); it decodes the strips' mu rows only for those, and
+        when a shell of the pass has no stored branching coefficients, for ``_betas``.  A strip's
+        skip |kappa| - |mu| is its kappa's degree less that of its slot."""
         plan, building = _plan(n, kmax), {}
-        kap, strips, pairs, degree, first, passes, counts, starts = plan
+        kap, strips, _, degree, first, passes, _, starts = plan
+        below_degree = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
         boff, loff = self._level_arrays(n - 1, kmax)[0], self._level_arrays(n, kmax)[0]
         powers = np.array([xn**s for s in range(kmax + 1)])
         level = np.empty(first[kmax + 1])
@@ -396,32 +430,34 @@ class _Engine(dict):
             if a >= len(level):
                 break
             b = min(b, len(level))
-            q = np.repeat(np.arange(a, b), strips[a:b])  # each strip's kappa, then its index
-            index = np.arange(len(q)) - (pairs[a:b] - pairs[a])[q - a]
-            kq, mu, digits = kap[:, q], np.zeros((n, len(q)), np.int64), index
-            for i in range(n - 2, -1, -1):  # the last row fastest, each counting down
-                digits, d = np.divmod(digits, kq[i] - kq[i + 1] + 1)
-                mu[i] = kq[i] - d
-            deg = mu.sum(0)
-            slot, rem, top = starts[deg], deg, deg
-            for i in range(n - 1):
-                slot = slot + counts[n - 1 - i, rem, top] - counts[n - 1 - i, rem, mu[i]]
-                rem, top = rem - mu[i], mu[i]
-            beta, zero = self._pass_betas(n, plan, a, b, (kq, mu, loff[q], boff[slot]), building)
-            skip, sub = degree[q] - deg, below[slot]
-            keep = (sub != 0.0) & ((skip == 0) | (xn != 0.0))
+            inside = np.arange(strips[a:b].max()) < strips[a:b, None]  # a row per kappa, its strips in order
+            slot = _STRIPS.get((n, a, b))
+            cold = any((n, k) not in self.betas for k in range(degree[a], degree[b - 1] + 1))
+            if slot is None or cold:
+                q, index = np.nonzero(inside)  # each strip's kappa, then its index
+                q += a
+                kq, mu, digits = kap[:, q], np.zeros((n, len(q)), np.int64), index
+                for i in range(n - 2, -1, -1):  # the last row fastest, each counting down
+                    digits, d = np.divmod(digits, kq[i] - kq[i + 1] + 1)
+                    mu[i] = kq[i] - d
+            slot = _strip_slots(n, plan, a, b, mu) if slot is None else slot
+            skip = np.repeat(degree[a:b], strips[a:b]) - below_degree[slot]
+            beta, zero = self._pass_betas(n, plan, a, b, (kq, mu, loff[q], boff[slot]) if cold else None, building)
+            sub = below[slot]
+            keep = (sub != 0.0) if xn != 0.0 else (sub != 0.0) & (skip == 0)
             if zero is not None and zero[keep].any():
                 raise ZeroDivisionError("float division by zero")
-            grid = np.zeros((b - a, int(strips[a:b].max()) + 1))  # a row per kappa, led by +0.0
+            grid = np.zeros((b - a, inside.shape[1] + 1))  # led by +0.0
             with np.errstate(all="ignore"):
-                grid[q - a, index + 1] = np.where(keep, (sub * powers[skip]) * beta, 0.0)
+                grid[:, 1:][inside] = np.where(keep, (sub * powers[skip]) * beta, 0.0)
                 level[a:b] = np.add.accumulate(grid, axis=1, out=grid)[:, -1]
         return level
 
     def _pass_betas(self, n, plan, a, b, args, building) -> tuple[np.ndarray, np.ndarray | None]:
         """The branching coefficients of the strips of kappas [a, b) of level n, and where their denominator
         is zero (None where no shell of the pass has one).  A shell's are sliced from the store, or computed by
-        ``_betas`` on its part of args and, if the store had room as it began, stored once complete."""
+        ``_betas`` on its part of args and, if the store had room as it began, stored once complete; args is
+        None when every shell of the pass is stored."""
         betas, zeros, (pairs, degree, first) = [], [], plan[2:5]
         for k in range(degree[a], degree[b - 1] + 1):
             s0, s1, base, end = max(a, first[k]), min(b, first[k + 1]), pairs[first[k]], pairs[first[k + 1]]

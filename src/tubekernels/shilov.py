@@ -11,7 +11,8 @@ its own contiguous row.
 
 from __future__ import annotations
 
-import functools
+import collections
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +40,7 @@ __all__ = [
 # never tied to the worker count.
 BLOCK = 8192
 MAX_NODES = 1 << 20  # the most nodes circle_quadrature builds (16 MiB of complex nodes)
-MAX_SAMPLES = 1 << 28  # the most Haar samples an estimate draws: 32768 blocks, each a pool future of ~2 KB
+MAX_SAMPLES = 1 << 28  # the most Haar samples an estimate draws: 32768 blocks
 
 _MASK64 = (1 << 64) - 1
 
@@ -151,7 +152,8 @@ def _check_workers(workers: int) -> None:
 
 
 def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
-    """Evaluate `batch_values(us)` over Haar blocks in a pool of `workers` threads, merged in order as they arrive."""
+    """Evaluate `batch_values(us)` over Haar blocks in a pool of `workers` threads and merge them in block order.
+    At most two blocks per worker are submitted ahead of the merge, so a failing block ends the estimate early."""
     if not 2 <= samples <= MAX_SAMPLES:
         raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {samples}")
     _check_workers(workers)
@@ -168,7 +170,14 @@ def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
             return _block_stats(batch_values(us), start)
 
     with ThreadPoolExecutor(max_workers=workers) as pool, np.errstate(all="ignore"):
-        count, mean, m2 = functools.reduce(_merge, pool.map(one_block, range(nblocks)))
+        blocks = iter(range(nblocks))
+        window = collections.deque(pool.submit(one_block, bi) for bi in itertools.islice(blocks, 2 * workers))
+        stats = None
+        while window:
+            block = window.popleft().result()
+            window.extend(pool.submit(one_block, bi) for bi in itertools.islice(blocks, 1))
+            stats = block if stats is None else _merge(stats, block)
+        count, mean, m2 = stats
         stderr = np.sqrt(m2 / (count - 1) / count)
     return mean, stderr, count
 

@@ -37,7 +37,7 @@ from .hypergeom import HyperParams, hyp2f1_multi
 from .radial import (_ONE, RadialPoint, SphericalParams, _disk_casimir, disk_casimir_residual, hua_integral_rhs,
                      radial_eigenvalue, radial_residual_report, spherical_F, spherical_F_xform, x_system_residual)
 from .schur import SignatureM, det_formula_rhs, phi_m_batch
-from .shilov import haar_unitary, mc_integrate_vector, philox_generator, poisson_transform
+from .shilov import MAX_WORKERS, haar_unitary, mc_integrate_vector, philox_generator, poisson_transform
 
 DEFAULT_SEED = 20240314
 EXIT_PASS = 0
@@ -136,9 +136,10 @@ class Key(NamedTuple):
     read: Callable
     default: object  # _REQUIRED when the key must be given
     help: str
+    bounds: tuple | None = None  # (smallest, largest) value a given size key may take
 
 
-# Every key with its reader, its usual default and its help line.
+# Every key with its reader, its usual default, its help line and, for a size, its bounds.
 _KEYS = {
     "a": Key(_complex, _REQUIRED, "upper parameter a (complex literal, e.g. 0.7+0.1j)"),
     "b": Key(_complex, _REQUIRED, "upper parameter b"),
@@ -146,7 +147,8 @@ _KEYS = {
     "x": Key(_floats, _REQUIRED, "series arguments x_1,...,x_r"),
     "r": Key(_int, _REQUIRED, "rank"),
     "m": Key(_float, 2.0, "root multiplicity (Jack parameter 2/m)"),
-    "n": Key(_int, 2, "matrix size of the type I_{n,n} domain"),
+    # n <= 8: on a 2-core host a type-I Hua integral at n = 8 takes about 20 s and 190 MB for 2^14 samples
+    "n": Key(_int, 2, "matrix size of the type I_{n,n} domain", (-math.inf, 8)),
     "domain": Key(_choice(*KERNEL_FAMILIES), "disk", "domain with a Poisson kernel"),
     "lambda": Key(_complex, _REQUIRED, "spectral parameter (complex literal, e.g. 0.9+0.3j)"),
     "nu": Key(_int, 0, "line-bundle twist"),
@@ -158,10 +160,11 @@ _KEYS = {
     "xform": Key(_bool, False, "evaluate the Euler-transformed representation"),
     "seed": Key(_int, DEFAULT_SEED, "seed of the random streams"),
     "samples": Key(_int, 200_000, "Haar samples"),
-    "workers": Key(_int, 1, "worker threads (results do not depend on it)"),
+    "workers": Key(_int, 1, "worker threads (results do not depend on it)", (1, MAX_WORKERS)),
     "fd_step": Key(_float, 1e-3, "finite-difference step"),
     "nodes": Key(_int, 512, "circle quadrature nodes"),
-    "trials": Key(_int, 100, "random group elements tried"),
+    # trials <= 10^4: about 25 s at n = 8 on a 2-core host
+    "trials": Key(_int, 100, "random group elements tried", (1, 10_000)),
     "gate": Key(_float, 1e-5, "pass gate on the relative difference"),
     "richardson": Key(_bool, False, "also gate the Richardson ratio of steps h and h/2 (3.5..4.5)"),
     "kernel_gate": Key(_float, 1e-8, "gate on the kernel transformation residual"),
@@ -190,7 +193,8 @@ def _command(name: str, keys: str, own: dict | None = None):
 
 def _resolve(command: str, raw: dict) -> dict:
     """Every key of ``command`` read from ``raw`` or defaulted: the values the
-    runner uses and the report echoes.  A JSON null counts as not given."""
+    runner uses and the report echoes.  A JSON null counts as not given, and a
+    given value outside its key's bounds is refused before any command runs."""
     schema = _SCHEMA[command]
     unknown = [name for name in raw if name not in schema]
     if unknown:
@@ -207,6 +211,10 @@ def _resolve(command: str, raw: dict) -> dict:
             cfg[name] = key.read(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"cannot read {name!r} from {value!r}: {exc}") from exc
+        if key.bounds and not key.bounds[0] <= cfg[name] <= key.bounds[1]:
+            low, high = key.bounds
+            raise InvalidArgumentError(f"{name} must be {f'>= {low}' if cfg[name] < low else f'<= {high}'}, "
+                                       f"got {cfg[name]}")
     return cfg
 
 
@@ -438,8 +446,6 @@ def run_check_casimir_disk(cfg: dict) -> tuple[dict, bool | None, int]:
 @_command("check-covariance", "n lambda nu trials kernel_gate cocycle_gate seed")
 def run_check_covariance(cfg: dict) -> tuple[dict, bool | None, int]:
     n, trials = cfg["n"], cfg["trials"]
-    if trials < 1:
-        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     kernel_gate, cocycle_gate = cfg["kernel_gate"], cfg["cocycle_gate"]
     spec = DomainSpec.type_i(n)
     params = LineBundleParams(lam=cfg["lambda"], nu=cfg["nu"])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, InvalidArgumentError, NonFiniteResultError, ParameterError
 from .partitions import _finite_point, _shell, jack_C_all
@@ -70,6 +71,15 @@ class SeriesResult:
     shells: tuple[float, ...] | None = None
 
 
+@lru_cache(maxsize=None)  # keyed by degree and rank, as _shell is; the tuples are immutable
+def _parents(k: int, r: int) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+    """Each partition of shell k with at most r parts, with the index in shell k - 1 of its parent (its
+    last box removed) and that box's column and row, counted from 0: built once per process."""
+    index = {parts: i for i, parts in enumerate(_shell(k - 1, r))}
+    return tuple((parts, index[parts[:-1] if parts[-1] == 1 else parts[:-1] + (parts[-1] - 1,)], parts[-1] - 1,
+                  len(parts) - 1) for parts in _shell(k, r))
+
+
 def hyp2f1_multi(params: HyperParams, x, *, early_stop: bool = True, collect_shells: bool = False) -> SeriesResult:
     """Evaluate 2F1^(m)(a, b; c; x_1..x_r), truncated at degree <= k_max.
 
@@ -96,36 +106,33 @@ def hyp2f1_multi(params: HyperParams, x, *, early_stop: bool = True, collect_she
 
     jack = jack_C_all(alpha, xs, k_max)
 
-    # ratio[kappa] = (a)_k (b)_k / ((c)_k |kappa|!), grown one box at a time;
-    # None marks a chain whose (c)_kappa hit a zero factor
-    ratios: dict[tuple[int, ...], complex | None] = {(): 1.0 + 0.0j}
+    # ratios[i] = (a)_k (b)_k / ((c)_k |kappa|!) of the i-th kappa of the last shell, grown one box at
+    # a time; None marks a chain whose (c)_kappa hit a zero factor
+    ratios: list[complex | None] = [1.0 + 0.0j]
     value = 1.0 + 0.0j
     shells = [1.0]
     small_run = 0
     for k in range(1, k_max + 1):
         shell = 0.0 + 0.0j
-        new_ratios: dict[tuple[int, ...], complex | None] = {}
-        for parts in _shell(k, r):
-            ell = len(parts)
-            j_new = parts[-1]
-            parent = parts[:-1] if j_new == 1 else parts[:-1] + (j_new - 1,)
-            delta = (j_new - 1) - (ell - 1) / alpha
+        new_ratios: list[complex | None] = []
+        for parts, parent, col, row in _parents(k, r):
+            delta = col - row / alpha
             den = c + delta
             parent_ratio = ratios[parent]
             cval = jack.get(parts, 0.0)
             if parent_ratio == 0.0:
                 # numerator terminated strictly earlier; every continuation is 0
-                new_ratios[parts] = 0.0 + 0.0j
+                new_ratios.append(0.0 + 0.0j)
                 continue
             if parent_ratio is None or abs(den) < _POLE_TOL:
                 if cval != 0.0:
                     raise ParameterError(
                         f"denominator parameter c={c} is a pole: (c)_kappa = 0 for kappa={parts}"
                     )
-                new_ratios[parts] = None
+                new_ratios.append(None)
                 continue
             ratio = parent_ratio * ((a + delta) * (b + delta)) / (den * k)
-            new_ratios[parts] = ratio
+            new_ratios.append(ratio)
             if cval != 0.0:
                 shell += ratio * cval
         ratios = new_ratios

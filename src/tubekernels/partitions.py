@@ -18,11 +18,17 @@ the branching coefficients of every (level, degree) shell it has built, one
 float array per shell, up to 2^21 (16 MiB) per engine.  Engines sit in an
 ``lru_cache`` bounded to 4 alpha values, so the stored coefficients take
 64 MiB at most.  Each shell's partitions, and each level's layout (padded
-parts, strip counts, passes), are built once per process.  So are each
-pass's strips kappa/mu, decoded to mu's slot at the level below, kept for
-every alpha and point while the process holds at most 2^21 of them, the
-coefficient budget's count (4 MiB at rank 3, 8 MiB at most); a pass past
-that decodes them again.  A table builds the J values
+parts, strip counts, passes), are built once per process; a layout grows
+with kmax, so its earlier passes stand.  So are each pass's strips kappa/mu,
+decoded to mu's slot at the level below, kept for every alpha and point
+while the process holds at most 2^21 of them, the coefficient budget's count
+(4 MiB at rank 3, 8 MiB at most); a pass past that decodes them again.  A
+stored pass (strips and coefficients stored) that a table reads back keeps,
+once per process, its strips' skips (uint8) and its sum grid's mask, and per
+engine its coefficients and zero mask as one array each (a view where the
+pass lies in one shell), so a table at a new point pays only for its own
+gather, products and sums.  Only stored passes are kept, so the two 2^21
+counts bound this record as well.  A table builds the J values
 one variable at a time, each level from the one before, up to degree kmax,
 in NumPy passes of bounded size that may span shells; a pass reads its
 coefficients from the store or gathers them from the hook products shell by
@@ -247,9 +253,14 @@ _PLANS = {}  # (level n, pass size) -> _plan(n, kmax) for the largest kmax asked
 
 class _Strips(dict):
     """(level n, first kappa, end kappa) of a pass -> its strips' slots at level n - 1, while
-    ``held``, the strips kept, stays within ``_BETA_STORE``."""
+    ``held``, the strips kept, stays within ``_BETA_STORE``.  ``records`` keeps, for a stored pass
+    that a table has read back, its strips' skips |kappa| - |mu| (uint8) and its sum grid's mask."""
 
     held = 0
+
+    def __init__(self):
+        super().__init__()
+        self.records = {}
 
 
 _STRIPS = _Strips()
@@ -282,16 +293,26 @@ def _plan(n: int, kmax: int) -> tuple:
     """Level n's kappas to degree kmax at least, degree by degree in reverse-lex order: their parts as
     zero-padded rows (n x P), strip counts, first strips (then the total), degrees, each shell's first
     kappa (then P), passes, and ``_partition_counts(n - 1, kmax)`` with the slot where each degree starts
-    at level n - 1.  Laid out once per process and pass size, again when kmax outgrows it."""
+    at level n - 1.  Laid out once per process and pass size, and grown when kmax outgrows it: the new
+    shells' columns are appended and ``_passes`` resumes at the last pass, so every earlier pass stands."""
     plan = _PLANS.get((n, _PASS_ELEMENTS))
-    if plan is None or len(plan[4]) < kmax + 2:
-        sizes = [len(_shell(k, n)) for k in range(kmax + 1)]
-        kap = np.array([parts + (0,) * (n - len(parts)) for k in range(kmax + 1) for parts in _shell(k, n)]).T
-        strips, counts = np.prod(kap[:-1] - kap[1:] + 1, axis=0), _partition_counts(n - 1, kmax)
-        passes = list(_passes(np.maximum(kap[0], 1).tolist(), strips.tolist(), _PASS_ELEMENTS))
+    done = -1 if plan is None else len(plan[4]) - 2
+    if kmax > done:
+        kap, strips, _, degree, first, passes = plan[:6] if plan else (
+            np.zeros((n, 0), np.int64), np.zeros(0, np.int64), None, np.zeros(0, np.int64), [0], [])
+        sizes = [len(_shell(k, n)) for k in range(done + 1, kmax + 1)]
+        new = np.array([parts + (0,) * (n - len(parts)) for k in range(done + 1, kmax + 1) for parts in _shell(k, n)])
+        kap = np.concatenate((kap, new.T), axis=1)
+        strips = np.concatenate((strips, np.prod(new.T[:-1] - new.T[1:] + 1, axis=0)))
+        a = passes[-1][0] if passes else 0
+        passes = passes[:-1] + [(a + s, a + e) for s, e in _passes(np.maximum(kap[0, a:], 1).tolist(),
+                                                                    strips[a:].tolist(), _PASS_ELEMENTS)]
+        counts = _partition_counts(n - 1, kmax)
         plan = _PLANS[n, _PASS_ELEMENTS] = (
-            kap, strips, np.concatenate(([0], np.cumsum(strips))), np.repeat(np.arange(kmax + 1), sizes),
-            [0, *itertools.accumulate(sizes)], passes, counts, np.cumsum([0, *counts[n - 1].diagonal()]))
+            kap, strips, np.concatenate(([0], np.cumsum(strips))),
+            np.concatenate((degree, np.repeat(np.arange(done + 1, kmax + 1), sizes))),
+            first + list(itertools.accumulate(sizes, initial=first[-1]))[1:], passes, counts,
+            np.cumsum([0, *counts[n - 1].diagonal()]))
     return plan
 
 
@@ -318,7 +339,11 @@ class _Engine(dict):
     its C normalization; ``table`` evaluates at a point.  The branching
     coefficients of a (level, degree) shell are computed for all its strips
     the first time a table reaches it and stored while the engine holds at
-    most ``_BETA_STORE`` of them; later tables read them."""
+    most ``_BETA_STORE`` of them; later tables read them.  A pass whose strips
+    (``_STRIPS``) and coefficients were both stored when a table read it is
+    kept in ``passes``: its slots, skips and sum-grid mask, shared with every
+    engine, and its coefficients and zero mask.  Both stores' counts bound
+    what is kept, and a kept pass decodes nothing and gathers no coefficient."""
 
     def __init__(self, al: float):
         self.al = al
@@ -331,6 +356,10 @@ class _Engine(dict):
         # self.stored counts the coefficients held.  Level n -> the degree reached, and the hook
         # offsets and C norms of the level's kappas to it.
         self.betas, self.stored, self.levels = {}, 0, {}
+        # (level n, first kappa, end kappa) of a pass whose strips and coefficients were stored when a table
+        # read it -> its slots, skips, sum-grid mask, coefficients (a view where the pass lies in one shell)
+        # and zero mask, as _level reads them.
+        self.passes = {}
 
     def _offsets(self, partitions: list[tuple[int, ...]]) -> np.ndarray:
         """The hook offsets of the partitions, storing those not seen yet in one growth of the
@@ -407,7 +436,8 @@ class _Engine(dict):
         total += (sub * x_n**skip) * beta over the strips in ``_horizontal_strips`` order:
         a strip skipped there (skip > 0 with x_n = 0, or sub = 0) adds +0.0 here, which
         leaves the total unchanged.  C is the C norm times J, one IEEE multiply each."""
-        below = np.array([math.prod((1.0 + j * self.al for j in range(k)), start=x[0] ** k) for k in range(kmax + 1)])
+        factors = [1.0 + j * self.al for j in range(kmax)]
+        below = np.array([math.prod(factors[:k], start=x[0] ** k) for k in range(kmax + 1)])
         for n in range(2, len(x) + 1):
             below = self._level(n, x[n - 1], kmax, below)
         with np.errstate(all="ignore"):  # inf and NaN entries, silent as in Python floats
@@ -416,33 +446,17 @@ class _Engine(dict):
 
     def _level(self, n: int, xn: float, kmax: int, below: np.ndarray) -> np.ndarray:
         """J at level n to degree kmax, walked in the passes of its ``_plan``, from level n - 1's
-        values by slot.  A pass reads its strips' slots from ``_STRIPS``, or decodes them there
-        once per process (``_strip_slots``); it decodes the strips' mu rows only for those, and
-        when a shell of the pass has no stored branching coefficients, for ``_betas``.  A strip's
-        skip |kappa| - |mu| is its kappa's degree less that of its slot."""
+        values by slot.  A pass kept in ``passes`` reads its strips' slots, skips and sum-grid mask
+        and its coefficients from there; any other pass gathers them in ``_pass``."""
         plan, building = _plan(n, kmax), {}
-        kap, strips, _, degree, first, passes, _, starts = plan
-        below_degree = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-        boff, loff = self._level_arrays(n - 1, kmax)[0], self._level_arrays(n, kmax)[0]
+        first, passes = plan[4:6]
         powers = np.array([xn**s for s in range(kmax + 1)])
         level = np.empty(first[kmax + 1])
         for a, b in passes:
             if a >= len(level):
                 break
             b = min(b, len(level))
-            inside = np.arange(strips[a:b].max()) < strips[a:b, None]  # a row per kappa, its strips in order
-            slot = _STRIPS.get((n, a, b))
-            cold = any((n, k) not in self.betas for k in range(degree[a], degree[b - 1] + 1))
-            if slot is None or cold:
-                q, index = np.nonzero(inside)  # each strip's kappa, then its index
-                q += a
-                kq, mu, digits = kap[:, q], np.zeros((n, len(q)), np.int64), index
-                for i in range(n - 2, -1, -1):  # the last row fastest, each counting down
-                    digits, d = np.divmod(digits, kq[i] - kq[i + 1] + 1)
-                    mu[i] = kq[i] - d
-            slot = _strip_slots(n, plan, a, b, mu) if slot is None else slot
-            skip = np.repeat(degree[a:b], strips[a:b]) - below_degree[slot]
-            beta, zero = self._pass_betas(n, plan, a, b, (kq, mu, loff[q], boff[slot]) if cold else None, building)
+            slot, skip, inside, beta, zero = self.passes.get((n, a, b)) or self._pass(n, plan, a, b, kmax, building)
             sub = below[slot]
             keep = (sub != 0.0) if xn != 0.0 else (sub != 0.0) & (skip == 0)
             if zero is not None and zero[keep].any():
@@ -452,6 +466,41 @@ class _Engine(dict):
                 grid[:, 1:][inside] = np.where(keep, (sub * powers[skip]) * beta, 0.0)
                 level[a:b] = np.add.accumulate(grid, axis=1, out=grid)[:, -1]
         return level
+
+    def _pass(self, n, plan, a, b, kmax, building) -> tuple:
+        """The strips of level n's kappas [a, b): their slots at level n - 1, skips |kappa| - |mu|, the mask
+        of the sum grid they fill (a row per kappa, its strips in order), their coefficients and where their
+        denominator is zero.  The slots come from ``_STRIPS`` or are decoded there once per process
+        (``_strip_slots``); mu's rows are decoded only for those, and for ``_betas`` when a shell of the pass
+        has no stored coefficients.  A skip is the kappa's degree less that of its slot.  A pass whose slots
+        and coefficients were all stored already is kept in ``passes``, its skips and mask in
+        ``_STRIPS.records``, so later tables at any alpha read them."""
+        kap, strips, _, degree, _, _, _, starts = plan
+        key = n, a, b
+        slot, record = _STRIPS.get(key), _STRIPS.records.get(key)
+        cold = any((n, k) not in self.betas for k in range(degree[a], degree[b - 1] + 1))
+        skip, inside = record or (None, np.arange(strips[a:b].max()) < strips[a:b, None])
+        if slot is None or cold:
+            q, index = np.nonzero(inside)  # each strip's kappa, then its index
+            q += a
+            kq, mu, digits = kap[:, q], np.zeros((n, len(q)), np.int64), index
+            for i in range(n - 2, -1, -1):  # the last row fastest, each counting down
+                digits, d = np.divmod(digits, kq[i] - kq[i + 1] + 1)
+                mu[i] = kq[i] - d
+        stored = slot is not None and not cold
+        slot = _strip_slots(n, plan, a, b, mu) if slot is None else slot
+        if skip is None:
+            skip = np.repeat(degree[a:b], strips[a:b]) - (np.searchsorted(starts, slot, "right") - 1)
+        args = None
+        if cold:
+            boff, loff = self._level_arrays(n - 1, kmax)[0], self._level_arrays(n, kmax)[0]
+            args = kq, mu, loff[q], boff[slot]
+        beta, zero = self._pass_betas(n, plan, a, b, args, building)
+        if stored:
+            if record is None:
+                record = _STRIPS.records[key] = skip.astype(np.min_scalar_type(len(plan[4]) - 2)), inside
+            self.passes[key] = slot, *record, beta, zero
+        return slot, skip, inside, beta, zero
 
     def _pass_betas(self, n, plan, a, b, args, building) -> tuple[np.ndarray, np.ndarray | None]:
         """The branching coefficients of the strips of kappas [a, b) of level n, and where their denominator
@@ -574,6 +623,7 @@ def _table_args(alpha, x, kmax: int) -> tuple[float, tuple[float, ...]]:
     return al, xs
 
 
+@lru_cache(maxsize=None)  # keyed by a degree of at most 200, so computed once per process and degree
 def _rank2_m_range(kmax: int) -> tuple[float, float]:
     """The multiplicities m = 2 / alpha a rank-2 table to degree kmax accepts, with 1 % headroom, 3 digits.
 
@@ -589,6 +639,7 @@ def _rank2_m_range(kmax: int) -> tuple[float, float]:
     return m_min, m_max
 
 
+@lru_cache(maxsize=None)  # keyed by rank and a degree of at most 100: once per process, rank and degree
 def _branching_m_range(rank: int, kmax: int) -> tuple[float, float]:
     """The multiplicities m = 2 / alpha a rank >= 3 table to degree kmax accepts, with 1 % headroom, 3 digits.
 

@@ -26,6 +26,7 @@ __all__ = [
     "BLOCK",
     "MAX_NODES",
     "MAX_SAMPLES",
+    "MAX_WORKERS",
     "McEstimate",
     "BoundaryFunction",
     "haar_unitary",
@@ -41,6 +42,7 @@ __all__ = [
 BLOCK = 8192
 MAX_NODES = 1 << 20  # the most nodes circle_quadrature builds (16 MiB of complex nodes)
 MAX_SAMPLES = 1 << 28  # the most Haar samples an estimate draws: 32768 blocks
+MAX_WORKERS = 32  # the most threads an estimate's pool starts; 2 blocks per worker are in flight
 
 _MASK64 = (1 << 64) - 1
 
@@ -147,8 +149,8 @@ def _block_stats(values: np.ndarray, start_index: int):
 
 
 def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise InvalidArgumentError(f"workers must be >= 1 and <= {MAX_WORKERS}, got {workers}")
 
 
 def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
@@ -246,7 +248,8 @@ def poisson_transform(
 
     The integrand is the batched kernel times f.  Disk evaluations use exact
     circle quadrature (stderr 0); type I uses Haar Monte Carlo with the module's reproducible
-    stream layout; a family with no kernel realization is refused before any draw.  ``workers`` must be >= 1.
+    stream layout; a family with no kernel realization is refused before any draw.  ``workers`` must be 1
+    to ``MAX_WORKERS``.
     """
     integrand = BoundaryFunction(
         fn=None, tag=f.tag, batch=lambda us: poisson_kernel_batch(spec, params, z, us) * _values(f, us)

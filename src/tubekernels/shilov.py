@@ -153,11 +153,17 @@ def _check_workers(workers: int) -> None:
         raise InvalidArgumentError(f"workers must be >= 1 and <= {MAX_WORKERS}, got {workers}")
 
 
+def _check_count(what: str, count: int) -> None:
+    """Refuse a count of Monte Carlo "samples" or quadrature "nodes" outside the range the library builds."""
+    low, high = {"samples": (2, MAX_SAMPLES), "nodes": (8, MAX_NODES)}[what]
+    if not low <= count <= high:
+        raise InvalidArgumentError(f"need {low} to {high} {what}, got {count}")
+
+
 def _run_blocks(batch_values, n: int, samples: int, seed: int, workers: int):
     """Evaluate `batch_values(us)` over Haar blocks in a pool of `workers` threads and merge them in block order.
     At most two blocks per worker are submitted ahead of the merge, so a failing block ends the estimate early."""
-    if not 2 <= samples <= MAX_SAMPLES:
-        raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {samples}")
+    _check_count("samples", samples)
     _check_workers(workers)
     nblocks = (samples + BLOCK - 1) // BLOCK
 
@@ -222,8 +228,7 @@ def circle_quadrature(f: Callable[[complex], complex] | BoundaryFunction, nodes:
     function of one point of the circle, or a BoundaryFunction on U(1), which
     sees the nodes as a (nodes, 1, 1) stack.
     """
-    if not 8 <= nodes <= MAX_NODES:
-        raise InvalidArgumentError(f"need 8 to {MAX_NODES} nodes, got {nodes}")
+    _check_count("nodes", nodes)
     thetas = 2.0 * np.pi * np.arange(nodes) / nodes
     us = np.exp(1j * thetas)
     g = f if isinstance(f, BoundaryFunction) else BoundaryFunction(fn=lambda u: f(u[0, 0]))
@@ -233,28 +238,18 @@ def circle_quadrature(f: Callable[[complex], complex] | BoundaryFunction, nodes:
     return complex(vals.mean())
 
 
-def poisson_transform(
-    spec: DomainSpec,
-    params: LineBundleParams,
-    f: BoundaryFunction,
-    z,
-    samples: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    nodes: int = 512,
-) -> McEstimate:
+def poisson_transform(spec: DomainSpec, params: LineBundleParams, f: BoundaryFunction, z, samples: int, seed: int, *,
+                      workers: int = 1, nodes: int = 512) -> McEstimate:
     """The Poisson integral of boundary data f at the interior point z.
 
-    The integrand is the batched kernel times f.  Disk evaluations use exact
-    circle quadrature (stderr 0); type I uses Haar Monte Carlo with the module's reproducible
-    stream layout; a family with no kernel realization is refused before any draw.  ``workers`` must be 1
-    to ``MAX_WORKERS``.
+    The integrand is the batched kernel times f, and the boundary picks the rule: exact circle
+    quadrature (stderr 0) on U(1), the disk's and type I_{1,1}'s; Haar Monte Carlo with the module's
+    reproducible stream layout on U(n), n > 1.  A family with no kernel realization is refused
+    before any draw.  ``workers`` must be 1 to ``MAX_WORKERS``.
     """
-    integrand = BoundaryFunction(
-        fn=None, tag=f.tag, batch=lambda us: poisson_kernel_batch(spec, params, z, us) * _values(f, us)
-    )
-    if spec.kind == "disk":
+    side = _kernel_side(spec)
+    integrand = BoundaryFunction(fn=None, batch=lambda us: poisson_kernel_batch(spec, params, z, us) * _values(f, us))
+    if side == 1:
         _check_workers(workers)
         return McEstimate(mean=circle_quadrature(integrand, nodes), stderr=0.0, samples=nodes, seed=int(seed))
-    return mc_integrate(integrand, _kernel_side(spec), samples, seed, workers=workers)
+    return mc_integrate_vector(integrand.batch, side, samples, seed, workers=workers)[0]

@@ -118,6 +118,12 @@ _floats = _list_of(_float)
 _ints = _list_of(_int)
 
 
+def _check_length(name: str, value: tuple) -> None:
+    """Refuse a point with more coordinates than the largest rank."""
+    if len(value) > MAX_RANK:
+        raise InvalidArgumentError(f"{name} must have at most {MAX_RANK} entries, got {len(value)}")
+
+
 def _choice(*names):
     def read(value) -> str:
         if value not in names:
@@ -139,7 +145,7 @@ class Key(NamedTuple):
     default: object  # _REQUIRED when the key must be given
     help: str
     bounds: tuple | None = None  # (smallest, largest) value a given size key may take
-    check: Callable | None = None  # check(name, value): the library's own check, for a bound the library needs too
+    check: Callable | None = None  # check(name, value): the library's own check, or a bound on a list's length
 
 
 # Every key with its reader, its usual default, its help line and, for a size, its bounds.
@@ -147,7 +153,7 @@ _KEYS = {
     "a": Key(_complex, _REQUIRED, "upper parameter a (complex literal, e.g. 0.7+0.1j)"),
     "b": Key(_complex, _REQUIRED, "upper parameter b"),
     "c": Key(_complex, _REQUIRED, "lower parameter c"),
-    "x": Key(_floats, _REQUIRED, "series arguments x_1,...,x_r"),
+    "x": Key(_floats, _REQUIRED, "series arguments x_1,...,x_r", check=_check_length),
     "r": Key(_int, _REQUIRED, "rank", (-math.inf, MAX_RANK)),
     "m": Key(_float, 2.0, "root multiplicity (Jack parameter 2/m)"),
     "n": Key(_int, 2, "matrix size of the type I_{n,n} domain", (-math.inf, MAX_RANK)),

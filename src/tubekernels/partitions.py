@@ -13,31 +13,25 @@ expanded symbolically, so degrees of 30+ stay cheap.
 One engine (after Koev & Edelman, Math. Comp. 75 (2006)) keeps, per alpha,
 what does not depend on x: each partition's column hook products, in one
 compact float array, and its C normalization, computed in NumPy passes over
-zero-padded box grids; each level's hook offsets and C norms as arrays; and
-the branching coefficients of every (level, degree) shell it has built, one
-float array per shell, up to 2^21 (16 MiB) per engine.  Engines sit in an
-``lru_cache`` bounded to 4 alpha values, so the stored coefficients take
-64 MiB at most.  Each shell's partitions, and each level's layout (padded
-parts, strip counts, passes), are built once per process; a layout grows
-with kmax, so its earlier passes stand.  So are each pass's strips kappa/mu,
-decoded to mu's slot at the level below, kept for every alpha and point
-while the process holds at most 2^21 of them, the coefficient budget's count
-(4 MiB at rank 3, 8 MiB at most); a pass past that decodes them again.  A
-stored pass (strips and coefficients stored) that a table reads back keeps,
-once per process, its strips' skips (uint8) and its sum grid's mask, and per
-engine its coefficients and zero mask as one array each (a view where the
-pass lies in one shell), so a table at a new point pays only for its own
-gather, products and sums.  Only stored passes are kept, so the two 2^21
-counts bound this record as well.  A table builds the J values
-one variable at a time, each level from the one before, up to degree kmax,
-in NumPy passes of bounded size that may span shells; a pass reads its
-coefficients from the store or gathers them from the hook products shell by
-shell, and keeps the float operations of the scalar recursion in order, so
-the values are those of that recursion bit for bit.  The cost follows
-(rank, alpha, kmax) and which shells the process has built at that alpha,
-and which passes, not the point.  For one and two variables closed
-coefficient formulas (a single monomial, resp. ultraspherical-type
-coefficients) build whole tables at once.
+zero-padded box grids, and each level's hook offsets and C norms as arrays.
+Engines sit in an ``lru_cache`` bounded to 4 alpha values.  Each shell's
+partitions, and each level's layout (padded parts, strip counts, passes),
+are built once per process; a layout grows with kmax, so its earlier passes
+stand.  A table builds the J values one variable at a time, each level from
+the one before, up to degree kmax, in NumPy passes of bounded size that may
+span shells, and keeps the float operations of the scalar recursion in
+order, so the values are those of that recursion bit for bit.  What a pass
+needs besides x sits in two stores keyed by the pass: its strips' layout
+(mu's slot at the level below, the skip |kappa| - |mu| as uint8 and the sum
+grid's mask), once per process for every alpha and point, and its branching
+coefficients with their zero mask, once per engine.  Each store keeps a pass
+while it holds at most 2^21 strips (the coefficients take 16 MiB per engine,
+so 64 MiB at most); past that, every table builds the missing half again.
+A pass found in both pays only for its gather, products and sums, so the
+cost follows (rank, alpha, kmax) and which passes the process has built,
+not the point.  For one and two variables closed coefficient formulas (a
+single monomial, resp. ultraspherical-type coefficients) build whole tables
+at once.
 """
 
 from __future__ import annotations
@@ -246,24 +240,14 @@ def _c_norm(parts: tuple[int, ...], conj: tuple[int, ...], al: float) -> float:
 # Elements of one NumPy pass (strips x widest kappa of the branching kernel, kappas x (most strips + 1)
 # of the sum grid, rows x columns x partitions of the hook pass); bounds its scratch arrays.
 _PASS_ELEMENTS = 1 << 15
-# Branching coefficients one engine stores (8 bytes each, 16 MiB); shells past it are computed and dropped.
+# Strips whose layout the process keeps, and branching coefficients one engine keeps (8 bytes each, 16 MiB);
+# a pass past either count builds that half again for every table.
 _BETA_STORE = 1 << 21
 _PLANS = {}  # (level n, pass size) -> _plan(n, kmax) for the largest kmax asked
-
-
-class _Strips(dict):
-    """(level n, first kappa, end kappa) of a pass -> its strips' slots at level n - 1, while
-    ``held``, the strips kept, stays within ``_BETA_STORE``.  ``records`` keeps, for a stored pass
-    that a table has read back, its strips' skips |kappa| - |mu| (uint8) and its sum grid's mask."""
-
-    held = 0
-
-    def __init__(self):
-        super().__init__()
-        self.records = {}
-
-
-_STRIPS = _Strips()
+# (level n, first kappa, end kappa) of a pass -> its strips' layout, the same at every alpha and point: their slots
+# at level n - 1, skips |kappa| - |mu| and the mask of the sum grid they fill; _HELD counts the strips kept.
+_LAYOUTS = {}
+_HELD = 0
 
 
 def _partition_counts(max_length: int, kmax: int) -> np.ndarray:
@@ -316,34 +300,29 @@ def _plan(n: int, kmax: int) -> tuple:
     return plan
 
 
-def _strip_slots(n: int, plan: tuple, a: int, b: int, mu: np.ndarray) -> np.ndarray:
-    """The slot at level n - 1 of each strip kappa/mu of level n's kappas [a, b), mu holding its rows, kept in
-    ``_STRIPS`` as the smallest unsigned type that holds level n - 1's size, if the store has room for them.  The
-    slot of mu: the partitions of lower degree, then those of its degree before it in reverse-lex order, counted
-    part by part."""
+def _strip_slots(n: int, plan: tuple, mu: np.ndarray) -> np.ndarray:
+    """The slot at level n - 1 of each strip kappa/mu of level n, mu holding its rows, as the smallest unsigned
+    type that holds level n - 1's size.  The slot of mu: the partitions of lower degree, then those of its degree
+    before it in reverse-lex order, counted part by part."""
     counts, starts = plan[6], plan[7]
     deg = mu.sum(0)
     slot, rem, top = starts[deg], deg, deg
     for i in range(n - 1):
         slot = slot + counts[n - 1 - i, rem, top] - counts[n - 1 - i, rem, mu[i]]
         rem, top = rem - mu[i], mu[i]
-    if _STRIPS.held + len(slot) <= _BETA_STORE:  # past the budget, decoded again by every table
-        slot = _STRIPS[n, a, b] = slot.astype(np.min_scalar_type(starts[-1]))
-        _STRIPS.held += len(slot)
-    return slot
+    return slot.astype(np.min_scalar_type(starts[-1]))
 
 
 class _Engine(dict):
     """The branching rule for one alpha.  Maps each kappa that ``_offsets`` has
     stored to the offset of its column hook products in one compact store and
-    its C normalization; ``table`` evaluates at a point.  The branching
-    coefficients of a (level, degree) shell are computed for all its strips
-    the first time a table reaches it and stored while the engine holds at
-    most ``_BETA_STORE`` of them; later tables read them.  A pass whose strips
-    (``_STRIPS``) and coefficients were both stored when a table read it is
-    kept in ``passes``: its slots, skips and sum-grid mask, shared with every
-    engine, and its coefficients and zero mask.  Both stores' counts bound
-    what is kept, and a kept pass decodes nothing and gathers no coefficient."""
+    its C normalization; ``table`` evaluates at a point.  Each level pass has
+    two halves that do not depend on x, built by ``_pass`` the first time a
+    table reaches the pass: its strips' layout, kept in ``_LAYOUTS`` for every
+    alpha, and its branching coefficients with their zero mask, kept in
+    ``passes`` for this alpha.  Each store keeps a half while it holds at most
+    ``_BETA_STORE`` strips, and a pass found in both decodes nothing and
+    gathers no coefficient."""
 
     def __init__(self, al: float):
         self.al = al
@@ -351,15 +330,11 @@ class _Engine(dict):
         # products at 2 (o + j) and 2 (o + j) + 1.  Offset 0 is a padding
         # column of exact 1.0 factors.
         self.hooks = np.ones(2)
-        # (level n, degree k) -> the branching coefficients of every strip of the shell, in the order
+        # (level n, first kappa, end kappa) of a pass -> the branching coefficients of its strips, in the order
         # _level walks them, and a mask of the zero denominators among them (None where there is none);
         # self.stored counts the coefficients held.  Level n -> the degree reached, and the hook
         # offsets and C norms of the level's kappas to it.
-        self.betas, self.stored, self.levels = {}, 0, {}
-        # (level n, first kappa, end kappa) of a pass whose strips and coefficients were stored when a table
-        # read it -> its slots, skips, sum-grid mask, coefficients (a view where the pass lies in one shell)
-        # and zero mask, as _level reads them.
-        self.passes = {}
+        self.passes, self.stored, self.levels = {}, 0, {}
 
     def _offsets(self, partitions: list[tuple[int, ...]]) -> np.ndarray:
         """The hook offsets of the partitions, storing those not seen yet in one growth of the
@@ -446,9 +421,9 @@ class _Engine(dict):
 
     def _level(self, n: int, xn: float, kmax: int, below: np.ndarray) -> np.ndarray:
         """J at level n to degree kmax, walked in the passes of its ``_plan``, from level n - 1's
-        values by slot.  A pass kept in ``passes`` reads its strips' slots, skips and sum-grid mask
-        and its coefficients from there; any other pass gathers them in ``_pass``."""
-        plan, building = _plan(n, kmax), {}
+        values by slot.  A pass reads its layout from ``_LAYOUTS`` and its coefficients from
+        ``passes``; ``_pass`` builds a half missing there."""
+        plan = _plan(n, kmax)
         first, passes = plan[4:6]
         powers = np.array([xn**s for s in range(kmax + 1)])
         level = np.empty(first[kmax + 1])
@@ -456,7 +431,10 @@ class _Engine(dict):
             if a >= len(level):
                 break
             b = min(b, len(level))
-            slot, skip, inside, beta, zero = self.passes.get((n, a, b)) or self._pass(n, plan, a, b, kmax, building)
+            layout, betas = _LAYOUTS.get((n, a, b)), self.passes.get((n, a, b))
+            if layout is None or betas is None:
+                layout, betas = self._pass(n, plan, a, b, kmax, layout, betas)
+            (slot, skip, inside), (beta, zero) = layout, betas
             sub = below[slot]
             keep = (sub != 0.0) if xn != 0.0 else (sub != 0.0) & (skip == 0)
             if zero is not None and zero[keep].any():
@@ -467,66 +445,34 @@ class _Engine(dict):
                 level[a:b] = np.add.accumulate(grid, axis=1, out=grid)[:, -1]
         return level
 
-    def _pass(self, n, plan, a, b, kmax, building) -> tuple:
-        """The strips of level n's kappas [a, b): their slots at level n - 1, skips |kappa| - |mu|, the mask
-        of the sum grid they fill (a row per kappa, its strips in order), their coefficients and where their
-        denominator is zero.  The slots come from ``_STRIPS`` or are decoded there once per process
-        (``_strip_slots``); mu's rows are decoded only for those, and for ``_betas`` when a shell of the pass
-        has no stored coefficients.  A skip is the kappa's degree less that of its slot.  A pass whose slots
-        and coefficients were all stored already is kept in ``passes``, its skips and mask in
-        ``_STRIPS.records``, so later tables at any alpha read them."""
-        kap, strips, _, degree, _, _, _, starts = plan
-        key = n, a, b
-        slot, record = _STRIPS.get(key), _STRIPS.records.get(key)
-        cold = any((n, k) not in self.betas for k in range(degree[a], degree[b - 1] + 1))
-        skip, inside = record or (None, np.arange(strips[a:b].max()) < strips[a:b, None])
-        if slot is None or cold:
-            q, index = np.nonzero(inside)  # each strip's kappa, then its index
-            q += a
-            kq, mu, digits = kap[:, q], np.zeros((n, len(q)), np.int64), index
-            for i in range(n - 2, -1, -1):  # the last row fastest, each counting down
-                digits, d = np.divmod(digits, kq[i] - kq[i + 1] + 1)
-                mu[i] = kq[i] - d
-        stored = slot is not None and not cold
-        slot = _strip_slots(n, plan, a, b, mu) if slot is None else slot
-        if skip is None:
+    def _pass(self, n, plan, a, b, kmax, layout, betas) -> tuple[tuple, tuple]:
+        """The layout of the strips of level n's kappas [a, b) and their coefficients and zero mask, building
+        the half given as None and storing it, in ``_LAYOUTS`` or ``passes``, if its store has room.  The layout
+        is the strips' slots at level n - 1, their skips |kappa| - |mu|, a kappa's degree less its slot's, and
+        the mask of the sum grid they fill (a row per kappa, its strips in order).  Mu's rows are decoded for
+        either half, and ``_betas`` runs once over the whole pass."""
+        global _HELD
+        kap, strips, _, degree, first, _, _, starts = plan
+        inside = np.arange(strips[a:b].max()) < strips[a:b, None] if layout is None else layout[2]
+        q, index = np.nonzero(inside)  # each strip's kappa, then its index
+        q += a
+        kq, mu, digits = kap[:, q], np.zeros((n, len(q)), np.int64), index
+        for i in range(n - 2, -1, -1):  # the last row fastest, each counting down
+            digits, d = np.divmod(digits, kq[i] - kq[i + 1] + 1)
+            mu[i] = kq[i] - d
+        if layout is None:
+            slot = _strip_slots(n, plan, mu)
             skip = np.repeat(degree[a:b], strips[a:b]) - (np.searchsorted(starts, slot, "right") - 1)
-        args = None
-        if cold:
+            layout = slot, skip.astype(np.min_scalar_type(len(first) - 2)), inside
+            if _HELD + len(slot) <= _BETA_STORE:
+                _LAYOUTS[n, a, b], _HELD = layout, _HELD + len(slot)
+        if betas is None:
             boff, loff = self._level_arrays(n - 1, kmax)[0], self._level_arrays(n, kmax)[0]
-            args = kq, mu, loff[q], boff[slot]
-        beta, zero = self._pass_betas(n, plan, a, b, args, building)
-        if stored:
-            if record is None:
-                record = _STRIPS.records[key] = skip.astype(np.min_scalar_type(len(plan[4]) - 2)), inside
-            self.passes[key] = slot, *record, beta, zero
-        return slot, skip, inside, beta, zero
-
-    def _pass_betas(self, n, plan, a, b, args, building) -> tuple[np.ndarray, np.ndarray | None]:
-        """The branching coefficients of the strips of kappas [a, b) of level n, and where their denominator
-        is zero (None where no shell of the pass has one).  A shell's are sliced from the store, or computed by
-        ``_betas`` on its part of args and, if the store had room as it began, stored once complete; args is
-        None when every shell of the pass is stored."""
-        betas, zeros, (pairs, degree, first) = [], [], plan[2:5]
-        for k in range(degree[a], degree[b - 1] + 1):
-            s0, s1, base, end = max(a, first[k]), min(b, first[k + 1]), pairs[first[k]], pairs[first[k + 1]]
-            lo, hi = pairs[s0] - base, pairs[s1] - base
-            beta, zero = self.betas.get((n, k), (None, None))
-            if beta is not None:
-                betas.append(beta[lo:hi]), zeros.append(None if zero is None else zero[lo:hi])
-                continue
-            beta, zero = self._betas(*(v[..., pairs[s0] - pairs[a]:pairs[s1] - pairs[a]] for v in args))
-            if lo == 0 and self.stored + end - base <= _BETA_STORE:  # past the budget, dropped
-                building[k] = np.empty(end - base), np.empty(end - base, bool)
-            if k in building:
-                building[k][0][lo:hi], building[k][1][lo:hi] = beta, zero
-                if hi == end - base:  # a mask is kept only where a denominator is zero
-                    full, mask = building.pop(k)
-                    self.betas[n, k], self.stored = (full, mask if mask.any() else None), self.stored + end - base
-            betas.append(beta), zeros.append(zero)
-        zero = None if all(z is None for z in zeros) else np.concatenate(
-            [np.zeros(len(v), bool) if z is None else z for v, z in zip(betas, zeros)])
-        return (betas[0] if len(betas) == 1 else np.concatenate(betas)), zero
+            beta, zero = self._betas(kq, mu, loff[q], boff[layout[0]])
+            betas = beta, (zero if zero.any() else None)  # a mask is kept only where a denominator is zero
+            if self.stored + len(beta) <= _BETA_STORE:
+                self.passes[n, a, b], self.stored = betas, self.stored + len(beta)
+        return layout, betas
 
 
 # Bounded: an engine grows with the partitions reached, so keep few alphas.

@@ -1,5 +1,5 @@
 """The per-alpha store of branching coefficients: a table built on a warm engine is
-bit for bit the table of a fresh one, each shell's coefficients are computed once
+bit for bit the table of a fresh one, each strip's coefficient is computed once
 per engine, a zero denominator raises on every call that uses it, and the store
 keeps to its budget."""
 
@@ -32,8 +32,7 @@ def spy(monkeypatch):
     kernel = _Engine._betas
 
     def betas(self, kappa, mu, koff, moff):
-        if kappa.shape[1]:
-            calls[kappa.shape[0], int(kappa[:, 0].sum())] += kappa.shape[1]
+        calls.update((kappa.shape[0], int(kappa[:, i].sum())) for i in range(kappa.shape[1]))
         return kernel(self, kappa, mu, koff, moff)
 
     monkeypatch.setattr(_Engine, "_betas", betas)
@@ -92,7 +91,7 @@ def test_a_zero_denominator_raises_on_every_call_that_uses_it():
     # stored with their zero mask, and the next point that uses one still raises.
     engine = _Engine(1e-20)
     assert _hex(engine.table((0.0, 0.0, 0.1), 20)) == _hex(_Engine(1e-20).table((0.0, 0.0, 0.1), 20))
-    assert any(zero is not None for _, zero in engine.betas.values())
+    assert any(zero is not None for _, zero in engine.passes.values())
     with pytest.raises(ZeroDivisionError, match="float division by zero"):
         _Engine(1e-20).table((0.3, -0.2, 0.1), 20)
     for _ in range(2):
@@ -107,7 +106,7 @@ def test_the_store_keeps_to_its_budget(monkeypatch):
     for _ in range(2):
         got = [_hex(engine.table(x, kmax)) for x, kmax in (((0.4, -0.3, 0.2), 24), ((0.1, 0.5, 0.0, 0.3), 16))]
         assert got == want
-        assert engine.stored == sum(len(beta) for beta, _ in engine.betas.values())
+        assert engine.stored == sum(len(beta) for beta, _ in engine.passes.values())
         assert 0 < engine.stored <= 5000
 
 

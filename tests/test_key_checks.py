@@ -1,5 +1,5 @@
-"""A sample count, a node count and a rank are checked when their keys are read: a value past
-its bound exits 3 with one ``error:`` line before any command runs, so a suite runs nothing.
+"""A sample count, a node count, a rank and the length of a point x are checked when their keys are
+read: a value past its bound exits 3 with one ``error:`` line before any command runs, so a suite runs nothing.
 Samples and nodes are checked by the library's own functions, which state each bound once."""
 
 from __future__ import annotations
@@ -65,6 +65,16 @@ def test_a_rank_past_the_bound_exits_3_before_any_jack_table(nothing_runs, comma
 @pytest.mark.parametrize("command", RADIAL)
 def test_the_largest_rank_resolves(command):
     assert cli._resolve(command, _radial(command, 8))["r"] == 8
+
+
+@pytest.mark.parametrize("command", ["eval-2f1", "check-x-system"])
+def test_an_x_longer_than_the_largest_rank_exits_3_before_any_jack_table(nothing_runs, command):
+    raw = {"a": 0.5, "b": 1, "c": 2} if command == "eval-2f1" else {"r": 8, "lambda": 0.8}
+    for entries in (9, 40):  # 12 entries of eval-2f1 used to build a rank-12 table in about 9 s
+        argv = _argv(command, {**raw, "x": [-0.05] * entries})
+        assert _call(argv) == (cli.EXIT_BAD_ARGS, "", f"error: x must have at most 8 entries, got {entries}\n")
+    assert nothing_runs == []
+    assert cli._resolve("eval-2f1", {"a": 0.5, "b": 1, "c": 2, "x": [0.1] * 8})["x"] == (0.1,) * 8
 
 
 @pytest.mark.parametrize("argv,line", [

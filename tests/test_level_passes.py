@@ -51,26 +51,30 @@ def test_a_level_spans_shells_in_few_passes(monkeypatch):
     assert [a for a, _ in passes[1:]] == [b for _, b in passes[:-1]] and passes[-1][1] == len(degree)
 
 
+class _LookedUp(dict):
+    """An engine's coefficient store that keeps the key of the last pass looked up."""
+
+    last = None
+
+    def get(self, key, default=None):
+        self.last = key
+        return super().get(key, default)
+
+
 @pytest.mark.parametrize("budget", [None, 1 << 30])
 def test_a_zero_denominator_in_a_pass_spanning_shells_raises(monkeypatch, budget):
     _budget(monkeypatch, budget)
-    shells = []  # the lowest and highest degree of each pass
-    pass_betas = _Engine._pass_betas
-
-    def spy(self, n, plan, a, b, args, building):
-        shells.append((plan[3][a], plan[3][b - 1]))
-        return pass_betas(self, n, plan, a, b, args, building)
-
-    monkeypatch.setattr(_Engine, "_pass_betas", spy)
-    stored = _Engine(1e-20)  # every shell stored with its zero mask, from a point that uses none
+    stored = _Engine(1e-20)  # every pass stored with its zero mask, from a point that uses none
     stored.table((0.0, 0.0, 0.1), 20)
-    assert any(zero is not None for _, zero in stored.betas.values())
+    assert any(zero is not None for _, zero in stored.passes.values())
     for engine in (_Engine(1e-20), stored):
+        engine.passes = _LookedUp(engine.passes)
         for _ in range(2):
             with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
                 engine.table((0.3, -0.2, 0.1), 20)
-            low, high = shells[-1]  # the pass that raised
-            assert low < high
+            n, a, b = engine.passes.last  # the pass that raised
+            degree = partitions._plan(n, 20)[3]
+            assert degree[a] < degree[b - 1]
 
 
 @pytest.mark.parametrize("budget", BUDGETS)

@@ -1,6 +1,7 @@
-"""The record a level pass keeps once its strips and coefficients are stored: tables read from it give
-the bits of a fresh engine with both stores empty, at any alpha, rank, pass size and store budget; a
-warm pass decodes no strip and gathers no coefficient; and only stored passes are kept."""
+"""The record a level pass keeps, its layout once per process and its coefficients once per engine:
+tables read from it give the bits of a fresh engine with both stores empty, at any alpha, rank, pass
+size and store budget; a table after one cold table at the same alpha builds no pass; a warm pass
+decodes no strip and gathers no coefficient; and both stores keep to their budget."""
 
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ def _hex(table):
 
 
 def _empty(monkeypatch):
-    monkeypatch.setattr(partitions, "_STRIPS", partitions._Strips())
+    monkeypatch.setattr(partitions, "_LAYOUTS", {})
+    monkeypatch.setattr(partitions, "_HELD", 0)
 
 
 def _small(monkeypatch):
@@ -38,7 +40,7 @@ def _cases():
 
 
 def _fresh(monkeypatch):
-    """Every case's table from a fresh engine, with the strip store emptied before each."""
+    """Every case's table from a fresh engine, with the layout store emptied before each."""
     want = {}
     for al in ALPHAS:
         for x, kmax in _cases():
@@ -55,44 +57,58 @@ def test_tables_read_from_kept_passes_give_the_bits_of_empty_stores(monkeypatch,
     _empty(monkeypatch)
     for al in ALPHAS:
         engine = _Engine(al)
-        for _ in range(3):  # cold, then read back and kept, then read from the record
+        for _ in range(3):  # cold, then read from the stores twice
             for x, kmax in _cases():
                 assert _hex(engine.table(x, kmax)) == want[al, x, kmax], (al, x, kmax)
         assert engine.passes
         for x, kmax in _cases():  # at new points
             shifted = tuple(0.5 - v for v in x)
             assert _hex(engine.table(shifted, kmax)) == _hex(_Engine(al).table(shifted, kmax)), (al, x, kmax)
-    assert partitions._STRIPS.records
+    assert partitions._LAYOUTS
+
+
+def _spy(monkeypatch, calls):
+    """Count the calls of the pass builder, the slot decoder and the branching kernel."""
+    def counted(name, original):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return count
+
+    monkeypatch.setattr(partitions, "_strip_slots", counted("_strip_slots", partitions._strip_slots))
+    for name in ("_pass", "_betas"):
+        monkeypatch.setattr(_Engine, name, counted(name, getattr(_Engine, name)))
+
+
+@pytest.mark.parametrize("al", ALPHAS)
+def test_a_table_after_one_cold_table_builds_no_pass(monkeypatch, al):
+    _empty(monkeypatch)
+    engine = _Engine(al)
+    for x, kmax in _cases()[1::2]:  # cold tables at ranks 3 to 5
+        engine.table(x, kmax)
+    want = {(x, kmax): _hex(_Engine(al).table(tuple(0.5 - v for v in x), kmax)) for x, kmax in _cases()[1::2]}
+    calls = collections.Counter()
+    _spy(monkeypatch, calls)
+    for x, kmax in _cases()[-1::-2]:  # new points, the ranks in reverse order
+        assert _hex(engine.table(tuple(0.5 - v for v in x), kmax)) == want[x, kmax], (al, x, kmax)
+    assert not calls
 
 
 def test_a_warm_pass_decodes_no_strip_and_gathers_no_coefficient(monkeypatch):
     _empty(monkeypatch)
     engine = _Engine(1.0)
-    for x in ((0.3, -0.2, 0.1), (0.2, 0.1, -0.3)):  # cold, then stored passes read back and kept
+    for x in ((0.3, -0.2, 0.1), (0.2, 0.1, -0.3)):  # cold, then read from the stores
         engine.table(x, 30)
-    calls = collections.Counter()
-
-    def spy(name, original):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(partitions, "_strip_slots", spy("_strip_slots", partitions._strip_slots))
-    for name in ("_betas", "_pass_betas"):
-        monkeypatch.setattr(_Engine, name, spy(name, getattr(_Engine, name)))
     want = _hex(_Engine(1.0).table((0.25, -0.15, 0.05), 30))
-    calls.clear()
+    calls = collections.Counter()
+    _spy(monkeypatch, calls)
     assert _hex(engine.table((0.25, -0.15, 0.05), 30)) == want
     assert not calls
-    # the kept record: skips as uint8, each coefficient array a view of its shell's where the pass lies in one
-    degree = partitions._plan(3, 30)[3]
-    for (n, a, b), (slot, skip, inside, beta, zero) in engine.passes.items():
-        assert skip.dtype == np.uint8 and len(skip) == len(slot) == len(beta) == inside.sum()
-        kept_skip, kept_inside = partitions._STRIPS.records[n, a, b]
-        assert kept_skip is skip and kept_inside is inside and slot is partitions._STRIPS[n, a, b]
-        if n == 3 and degree[a] == degree[b - 1]:
-            assert np.shares_memory(beta, engine.betas[n, degree[a]][0])
+    # the kept record: compact slots, skips as uint8, one coefficient per strip
+    for (n, a, b), (beta, zero) in engine.passes.items():
+        slot, skip, inside = partitions._LAYOUTS[n, a, b]
+        assert slot.dtype.kind == "u" and skip.dtype == np.uint8
+        assert len(skip) == len(slot) == len(beta) == inside.sum()
 
 
 def test_only_stored_passes_are_kept(monkeypatch):
@@ -103,15 +119,17 @@ def test_only_stored_passes_are_kept(monkeypatch):
         for _ in range(2):
             for x, kmax in _cases():
                 engine.table(x, kmax)
-    assert partitions._STRIPS.held <= SMALL["_BETA_STORE"]
-    assert partitions._STRIPS.records and partitions._STRIPS.records.keys() <= partitions._STRIPS.keys()
+    layouts = partitions._LAYOUTS
+    assert 0 < partitions._HELD == sum(len(slot) for slot, _, _ in layouts.values()) <= SMALL["_BETA_STORE"]
+    walked = set()  # every pass of the cases' levels, cut short at each degree asked
+    for x, kmax in _cases():
+        for n in range(2, len(x) + 1):
+            first, passes = partitions._plan(n, kmax)[4:6]
+            walked |= {(n, a, min(b, first[kmax + 1])) for a, b in passes if a < first[kmax + 1]}
+    assert layouts.keys() < walked  # the budget leaves some passes out
     for engine in engines:
-        assert engine.passes and engine.passes.keys() <= partitions._STRIPS.records.keys()
-        assert engine.stored <= SMALL["_BETA_STORE"]
-        plans = {n: partitions._plan(n, KMAX[3]) for n in range(2, 6)}
-        for n, a, b in engine.passes:
-            shells = range(plans[n][3][a], plans[n][3][b - 1] + 1)
-            assert all((n, k) in engine.betas for k in shells)
+        assert 0 < engine.stored == sum(len(beta) for beta, _ in engine.passes.values()) <= SMALL["_BETA_STORE"]
+        assert engine.passes.keys() < walked
 
 
 def test_a_zero_denominator_raises_from_a_kept_pass(monkeypatch):
@@ -119,7 +137,7 @@ def test_a_zero_denominator_raises_from_a_kept_pass(monkeypatch):
     stored = _Engine(1e-20)  # coefficients and their zero masks stored from points that use none
     for _ in range(2):
         stored.table((0.0, 0.0, 0.1), 20)
-    assert any(zero is not None for *_, zero in stored.passes.values())
+    assert any(zero is not None for _, zero in stored.passes.values())
     for _ in range(2):
         with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
             stored.table((0.3, -0.2, 0.1), 20)

@@ -1,7 +1,7 @@
-"""The per-process store of each level pass's strips, as their slots at the level below:
-tables that read it at any alpha, point and pass size give the bits of a fresh engine with the
-store empty, each pass is decoded once per process, a pass whose coefficients are all stored
-decodes no mu rows, and the store keeps to the coefficient budget's count of strips."""
+"""The per-process store of each level pass's layout (its strips' slots at the level below, skips and
+sum-grid mask): tables that read it at any alpha, point and pass size give the bits of a fresh engine with the
+store empty, each pass is decoded once per process, a pass whose coefficients are stored
+computes none again, and the store keeps to the coefficient budget's count of strips."""
 
 from __future__ import annotations
 
@@ -26,7 +26,24 @@ def _hex(table):
 
 
 def _empty(monkeypatch):
-    monkeypatch.setattr(partitions, "_STRIPS", partitions._Strips())
+    monkeypatch.setattr(partitions, "_LAYOUTS", {})
+    monkeypatch.setattr(partitions, "_HELD", 0)
+
+
+def _spy_passes(monkeypatch, walked, decoded):
+    """Append the key of each pass built to walked, and count in decoded the strips _strip_slots decodes for it."""
+    build, strip_slots = _Engine._pass, partitions._strip_slots
+
+    def pass_spy(self, n, plan, a, b, *args):
+        walked.append((n, a, b))
+        return build(self, n, plan, a, b, *args)
+
+    def slots_spy(n, plan, mu):
+        decoded[walked[-1]] += mu.shape[1]
+        return strip_slots(n, plan, mu)
+
+    monkeypatch.setattr(_Engine, "_pass", pass_spy)
+    monkeypatch.setattr(partitions, "_strip_slots", slots_spy)
 
 
 def _budget(monkeypatch, budget):
@@ -57,7 +74,7 @@ def test_tables_read_from_a_warm_store_give_the_bits_of_an_empty_one(monkeypatch
         engine = _Engine(3.0)
         for x, kmax in _cases():
             engine.table(tuple(0.5 - v for v in x), kmax)
-    assert partitions._STRIPS.held > 0
+    assert partitions._HELD > 0
     _budget(monkeypatch, budget)
     for al in ALPHAS:
         engine = _Engine(al)  # no coefficient stored: the strips' mu rows are decoded again
@@ -69,52 +86,38 @@ def test_tables_read_from_a_warm_store_give_the_bits_of_an_empty_one(monkeypatch
 
 def test_each_pass_is_decoded_once_per_process_across_alphas(monkeypatch):
     _empty(monkeypatch)
-    decoded, walked, cold = collections.Counter(), set(), []
-    strip_slots, pass_betas = partitions._strip_slots, _Engine._pass_betas
-
-    def slots_spy(n, plan, a, b, mu):
-        decoded[n, a, b] += 1
-        return strip_slots(n, plan, a, b, mu)
-
-    def betas_spy(self, n, plan, a, b, args, building):
-        walked.add((n, a, b))
-        cold.append(args is not None)
-        return pass_betas(self, n, plan, a, b, args, building)
-
-    monkeypatch.setattr(partitions, "_strip_slots", slots_spy)
-    monkeypatch.setattr(_Engine, "_pass_betas", betas_spy)
+    walked, decoded, gathered = [], collections.Counter(), []
+    _spy_passes(monkeypatch, walked, decoded)
+    betas = _Engine._betas
+    monkeypatch.setattr(_Engine, "_betas", lambda self, *args: gathered.append(walked[-1]) or betas(self, *args))
     for al in (0.5, 2.0):
         engine = _Engine(al)
         for x, kmax in _cases():
             engine.table(x, kmax)
-        cold.clear()
+        gathered.clear()
         for x, kmax in _cases():  # a second pass over the same tables finds every coefficient stored
             engine.table(tuple(-v for v in x), kmax)
-        assert cold and not any(cold)
-    assert decoded.keys() == walked and set(decoded.values()) == {1}
-    for (n, _, _), slot in partitions._STRIPS.items():  # compact: no wider than the level below needs
+        assert not gathered
+    assert walked and decoded.keys() == set(walked) == partitions._LAYOUTS.keys()
+    for (n, a, b), (slot, skip, _) in partitions._LAYOUTS.items():  # decoded once, and compact
+        assert decoded[n, a, b] == len(slot)
         below = partitions._plan(n, KMAX[3])[7][-1]
         assert slot.dtype.kind == "u" and slot.dtype.itemsize <= np.min_scalar_type(below).itemsize
+        assert skip.dtype == np.uint8
 
 
 def test_the_store_keeps_to_the_coefficient_budget(monkeypatch):
     want = _fresh(monkeypatch, (0.5, 2.0))
     _empty(monkeypatch)
     monkeypatch.setattr(partitions, "_BETA_STORE", 5000)
-    walked = collections.Counter()
-    strip_slots = partitions._strip_slots
-
-    def slots_spy(n, plan, a, b, mu):
-        walked[n, a, b] = mu.shape[1]
-        return strip_slots(n, plan, a, b, mu)
-
-    monkeypatch.setattr(partitions, "_strip_slots", slots_spy)
+    walked, decoded = [], collections.Counter()
+    _spy_passes(monkeypatch, walked, decoded)
     for al in (0.5, 2.0):
         engine = _Engine(al)
         for x, kmax in _cases() + _cases()[::-1]:
             assert _hex(engine.table(x, kmax)) == want[al, x, kmax], (al, x, kmax)
-    held = sum(map(len, partitions._STRIPS.values()))
-    assert sum(walked.values()) > 5000 >= held == partitions._STRIPS.held > 0
+    held = sum(len(slot) for slot, _, _ in partitions._LAYOUTS.values())
+    assert sum(decoded.values()) > 5000 >= held == partitions._HELD > 0
 
 
 @pytest.mark.parametrize("budget", [None, 1 << 30])

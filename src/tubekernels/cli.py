@@ -33,6 +33,7 @@ from .domains import (FAMILIES, KERNEL_FAMILIES, DomainSpec, LineBundleParams, c
 from .errors import (ConvergenceError, DomainError, GeometryError, InvalidArgumentError, NonFiniteResultError,
                      NonFiniteSampleError, ParameterError, SingularActionError, SingularKernelError)
 from .hypergeom import HyperParams, hyp2f1_multi
+from .partitions import _MAX_WEIGHT
 # perfbench/tracing.py wraps cli.disk_casimir_residual by name, so it stays imported here
 from .radial import (_ONE, RadialPoint, SphericalParams, _disk_casimir, disk_casimir_residual, hua_integral_rhs,
                      radial_eigenvalue, radial_residual_report, spherical_F, spherical_F_xform, x_system_residual)
@@ -124,6 +125,12 @@ def _check_length(name: str, value: tuple) -> None:
         raise InvalidArgumentError(f"{name} must have at most {MAX_RANK} entries, got {len(value)}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a gate of zero or less, which no inexact result can pass."""
+    if value <= 0:
+        raise InvalidArgumentError(f"{name} must be > 0, got {value}")
+
+
 def _choice(*names):
     def read(value) -> str:
         if value not in names:
@@ -163,7 +170,8 @@ _KEYS = {
     "t": Key(_floats, _REQUIRED, "radial coordinates t_1,...,t_r"),
     "sig": Key(_ints, _REQUIRED, "signature m_1 >= ... >= m_n, e.g. 1,0"),
     "z": Key(_point, 0j, "planar point re,im"),
-    "kmax": Key(_int, None, "truncation degree (None: chosen from the point)"),
+    # the library caps the degree again at 100 from rank 3 on, which depends on r or on the length of x
+    "kmax": Key(_int, None, "truncation degree (None: chosen from the point)", (1, _MAX_WEIGHT)),
     "tol": Key(_float, 1e-12, "tail tolerance of the series' early stop"),
     "xform": Key(_bool, False, "evaluate the Euler-transformed representation"),
     "seed": Key(_int, DEFAULT_SEED, "seed of the random streams"),
@@ -173,10 +181,10 @@ _KEYS = {
     "nodes": Key(_int, 512, "circle quadrature nodes", check=_check_count),
     # trials <= 10^4: about 25 s at n = 8 on a 2-core host
     "trials": Key(_int, 100, "random group elements tried", (1, 10_000)),
-    "gate": Key(_float, 1e-5, "pass gate on the relative difference"),
+    "gate": Key(_float, 1e-5, "pass gate on the relative difference", check=_check_positive),
     "richardson": Key(_bool, False, "also gate the Richardson ratio of steps h and h/2 (3.5..4.5)"),
-    "kernel_gate": Key(_float, 1e-8, "gate on the kernel transformation residual"),
-    "cocycle_gate": Key(_float, 1e-10, "gate on the cocycle residual"),
+    "kernel_gate": Key(_float, 1e-8, "gate on the kernel transformation residual", check=_check_positive),
+    "cocycle_gate": Key(_float, 1e-10, "gate on the cocycle residual", check=_check_positive),
     "config": Key(str, _REQUIRED, "JSON file with an 'experiments' array"),
 }
 
@@ -293,7 +301,7 @@ def _execute(command: str, cfg: dict) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-@_command("eval-2f1", "a b c m x kmax tol seed", {"kmax": 30})
+@_command("eval-2f1", "a b c m x kmax tol", {"kmax": 30})
 def run_eval_2f1(cfg: dict) -> tuple[dict, bool | None, int]:
     params = HyperParams(
         a=cfg["a"], b=cfg["b"], c=cfg["c"], multiplicity_m=cfg["m"], k_max=cfg["kmax"], tol=cfg["tol"]
@@ -308,7 +316,7 @@ def run_eval_2f1(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, res.converged, EXIT_PASS if res.converged else EXIT_NO_CONVERGENCE
 
 
-@_command("eval-spherical", "r m lambda nu t kmax tol xform seed")
+@_command("eval-spherical", "r m lambda nu t kmax tol xform")
 def run_eval_spherical(cfg: dict) -> tuple[dict, bool | None, int]:
     sp = _spherical_params(cfg)
     pt = RadialPoint(cfg["t"])
@@ -400,7 +408,7 @@ def run_check_schur_det(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
-@_command("check-pde", "r m lambda nu t fd_step gate richardson seed")
+@_command("check-pde", "r m lambda nu t fd_step gate richardson")
 def run_check_pde(cfg: dict) -> tuple[dict, bool | None, int]:
     sp = _spherical_params(cfg)
     h = cfg["fd_step"]
@@ -422,7 +430,7 @@ def run_check_pde(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
-@_command("check-x-system", "r m lambda nu x fd_step seed")
+@_command("check-x-system", "r m lambda nu x fd_step")
 def run_check_x_system(cfg: dict) -> tuple[dict, bool | None, int]:
     sp = _spherical_params(cfg)
     res = x_system_residual(sp, cfg["x"], cfg["fd_step"])
@@ -435,7 +443,7 @@ def run_check_x_system(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, True, EXIT_PASS
 
 
-@_command("check-casimir-disk", "lambda z fd_step nodes gate seed")
+@_command("check-casimir-disk", "lambda z fd_step nodes gate")
 def run_check_casimir_disk(cfg: dict) -> tuple[dict, bool | None, int]:
     res, p0, eig = _disk_casimir(cfg["lambda"], cfg["z"], cfg["fd_step"], cfg["nodes"])
     rel = abs(res) / (max(1.0, abs(eig)) * abs(p0))
@@ -474,7 +482,7 @@ def run_check_covariance(cfg: dict) -> tuple[dict, bool | None, int]:
     return body, passed, EXIT_PASS if passed else EXIT_FAIL
 
 
-@_command("table", "domain n lambda nu seed",
+@_command("table", "domain n lambda nu",
           {"domain": Key(_choice(*FAMILIES), None, "catalog entry (None: every kind)"), "lambda": None})
 def run_table(cfg: dict) -> tuple[dict, bool | None, int]:
     n = cfg["n"]

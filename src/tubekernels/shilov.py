@@ -49,7 +49,7 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo mean with its standard error and provenance.
+    """Monte Carlo mean with its standard error and sample count.
 
     stderr combines the sample variances of the real and imaginary parts in
     quadrature: sqrt((var_re + var_im) / samples).
@@ -58,7 +58,6 @@ class McEstimate:
     mean: complex
     stderr: float
     samples: int
-    seed: int
 
     def z_score(self, reference: complex) -> float:
         if self.stderr == 0.0:
@@ -207,10 +206,7 @@ def mc_integrate_vector(
     are averaged with normalized Haar measure.
     """
     mean, stderr, count = _run_blocks(batch_fn, n, samples, seed, workers)
-    return [
-        McEstimate(mean=complex(m), stderr=float(s), samples=count, seed=int(seed))
-        for m, s in zip(mean, stderr)
-    ]
+    return [McEstimate(mean=complex(m), stderr=float(s), samples=count) for m, s in zip(mean, stderr)]
 
 
 def mc_integrate(
@@ -244,12 +240,12 @@ def poisson_transform(spec: DomainSpec, params: LineBundleParams, f: BoundaryFun
 
     The integrand is the batched kernel times f, and the boundary picks the rule: exact circle
     quadrature (stderr 0) on U(1), the disk's and type I_{1,1}'s; Haar Monte Carlo with the module's
-    reproducible stream layout on U(n), n > 1.  A family with no kernel realization is refused
-    before any draw.  ``workers`` must be 1 to ``MAX_WORKERS``.
+    reproducible stream layout on U(n), n > 1, the only rule that reads ``seed``.  A family with no
+    kernel realization is refused before any draw.  ``workers`` must be 1 to ``MAX_WORKERS``.
     """
     side = _kernel_side(spec)
     integrand = BoundaryFunction(fn=None, batch=lambda us: poisson_kernel_batch(spec, params, z, us) * _values(f, us))
     if side == 1:
         _check_workers(workers)
-        return McEstimate(mean=circle_quadrature(integrand, nodes), stderr=0.0, samples=nodes, seed=int(seed))
+        return McEstimate(mean=circle_quadrature(integrand, nodes), stderr=0.0, samples=nodes)
     return mc_integrate_vector(integrand.batch, side, samples, seed, workers=workers)[0]

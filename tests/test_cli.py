@@ -211,7 +211,7 @@ def test_output_formats(capsys, tmp_path):
 
 
 def test_report_provenance(capsys):
-    _, rep = run_json(capsys, "check-casimir-disk", "--lambda", "2", "--z", "0.1,0.0", "--seed", "99")
+    _, rep = run_json(capsys, "check-covariance", "--n", "2", "--lambda", "0.8", "--trials", "1", "--seed", "99")
     assert rep["config"]["seed"] == 99
     assert "version" in rep["config"]
     assert "wall_time_s" in rep

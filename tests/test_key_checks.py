@@ -1,6 +1,6 @@
-"""A sample count, a node count, a rank and the length of a point x are checked when their keys are
-read: a value past its bound exits 3 with one ``error:`` line before any command runs, so a suite runs nothing.
-Samples and nodes are checked by the library's own functions, which state each bound once."""
+"""A sample count, a node count, a rank, the length of a point x, a truncation degree and a gate are checked
+when their keys are read: a value past its bound exits 3 with one ``error:`` line before any command runs, so a
+suite runs nothing.  Samples and nodes are checked by the library's own functions, which state each bound once."""
 
 from __future__ import annotations
 
@@ -119,3 +119,52 @@ def test_the_library_check_keeps_each_range(low, high, what):
     for value in (low - 1, high + 1):
         with pytest.raises(InvalidArgumentError, match=f"^need {low} to {high} {what}, got {value}$"):
             shilov._check_count(what, value)
+
+
+def test_the_degree_is_bounded_by_the_library_maximum():
+    assert cli._KEYS["kmax"].bounds == (1, partitions._MAX_WEIGHT) == (1, 200)
+    assert cli._resolve("eval-2f1", {"a": 0.5, "b": 0.5, "c": 1.5, "x": [0.3, 0.2], "kmax": 200})["kmax"] == 200
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["eval-2f1", "--a", "0.5", "--b", "0.5", "--c", "1.5", "--x", "0.3,0.2", "--kmax", "5000"],
+     "error: kmax must be <= 200, got 5000"),
+    (["eval-spherical", "--r", "1", "--lambda", "0.9", "--t", "0.3", "--kmax", "0"], "error: kmax must be >= 1, got 0"),
+    (["check-pde", "--r", "2", "--lambda", "0.8", "--t", "0.2,0.4", "--gate", "0"], "error: gate must be > 0, got 0.0"),
+    (["check-pde", "--r", "2", "--lambda", "0.8", "--t", "0.2,0.4", "--gate", "-1"], "error: gate must be > 0, got -1.0"),
+    (["check-covariance", "--n", "2", "--lambda", "0.8", "--trials", "1", "--kernel-gate", "-1"],
+     "error: kernel_gate must be > 0, got -1.0"),
+    (["check-covariance", "--n", "2", "--lambda", "0.8", "--trials", "1", "--cocycle-gate", "0"],
+     "error: cocycle_gate must be > 0, got 0.0"),
+])
+def test_a_degree_past_the_maximum_or_a_gate_of_zero_or_less_exits_3_before_the_run(nothing_runs, argv, line):
+    assert _call(argv) == (cli.EXIT_BAD_ARGS, "", line + "\n")
+    assert nothing_runs == []
+
+
+def _suite(entries):
+    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+        json.dump({"experiments": entries}, fh)
+    try:
+        return _call(["suite", "--config", fh.name])
+    finally:
+        os.unlink(fh.name)
+
+
+def test_a_suite_whose_later_entry_asks_past_the_largest_degree_draws_no_block(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(shilov, "_haar_block", lambda *args: drawn.append(args))
+    code, out, err = _suite([
+        {"command": "check-hua-integral", "domain": "typeI", "n": 2, "lambda": 0.7, "t": [0.2, 0.5],
+         "samples": 4_000_000},
+        {"command": "eval-2f1", "a": 0.5, "b": 0.5, "c": 1.5, "x": [0.3, 0.2], "kmax": 5000},
+    ])
+    assert (code, out, drawn) == (cli.EXIT_BAD_ARGS, "", [])
+    assert err == "error: suite experiment 1 (eval-2f1): kmax must be <= 200, got 5000\n"
+
+
+def test_a_suite_whose_later_entry_has_a_negative_gate_runs_nothing(nothing_runs):
+    code, out, err = _suite([{"command": "table", "n": 2},
+                             {"command": "check-casimir-disk", "lambda": 2, "z": "0.3,0.1", "gate": -1e-5}])
+    assert (code, out, nothing_runs) == (cli.EXIT_BAD_ARGS, "", [])
+    assert err == "error: suite experiment 1 (check-casimir-disk): gate must be > 0, got -1e-05\n"

@@ -173,9 +173,9 @@ def test_sample_count_validation():
 
 
 def test_z_score():
-    est = McEstimate(mean=1.0 + 0.0j, stderr=0.1, samples=100, seed=0)
+    est = McEstimate(mean=1.0 + 0.0j, stderr=0.1, samples=100)
     assert est.z_score(1.2) == pytest.approx(2.0)
-    exact = McEstimate(mean=1.0 + 0.0j, stderr=0.0, samples=100, seed=0)
+    exact = McEstimate(mean=1.0 + 0.0j, stderr=0.0, samples=100)
     assert exact.z_score(1.0) == 0.0
 
 
